@@ -382,3 +382,81 @@ fn taskbench_stencil_hashes_identical_on_each_transport() {
         });
     }
 }
+
+/// Golden pin of the fault schedule: the same seeded plan draws the
+/// same faults on every transport, and those counts never change
+/// under refactoring. A 3-PE ring with no self-sends (loopback is
+/// faulted in-process but not on the wire), and `rto == rto_cap ==
+/// 1 s`, so no retransmission can fire and every count is a pure
+/// function of the seed and the per-link send sequence.
+#[test]
+fn fault_schedule_is_identical_on_each_transport() {
+    use converse::machine::{FaultPlan, FaultStats, LinkFaults};
+    const PES: usize = 3;
+    const MSGS: u64 = 40;
+    let dup_only = LinkFaults {
+        drop: 0.0,
+        dup: 0.3,
+        delay: 0.0,
+        max_delay_slots: 0,
+    };
+    let delay_only = LinkFaults {
+        drop: 0.0,
+        dup: 0.0,
+        delay: 0.5,
+        max_delay_slots: 3,
+    };
+    // (seed, faults, [transmissions, duplicated, delayed, dedup_dropped])
+    let golden: [(u64, LinkFaults, [u64; 4]); 6] = [
+        (1, dup_only, [164, 36, 0, 36]),
+        (7, dup_only, [173, 45, 0, 45]),
+        (1996, dup_only, [179, 51, 0, 51]),
+        (1, delay_only, [128, 0, 54, 0]),
+        (7, delay_only, [128, 0, 73, 0]),
+        (1996, delay_only, [128, 0, 67, 0]),
+    ];
+    for (seed, faults, [transmissions, duplicated, delayed, dedup_dropped]) in golden {
+        let reports = reports_on_each_transport(
+            move || {
+                let second = Duration::from_secs(1);
+                MachineConfig::new(PES).faults(
+                    FaultPlan::new(seed)
+                        .faults(faults)
+                        .retransmit(second, second),
+                )
+            },
+            |pe| {
+                let me = pe.my_pe();
+                let got = Arc::new(AtomicU64::new(0));
+                let g = got.clone();
+                let h = pe.register_handler(move |pe, _| {
+                    if g.fetch_add(1, Ordering::SeqCst) + 1 == MSGS {
+                        csd_exit_scheduler(pe);
+                    }
+                });
+                pe.barrier();
+                for i in 0..MSGS {
+                    pe.sync_send_and_free((me + 1) % PES, Message::new(h, &i.to_le_bytes()));
+                }
+                csd_scheduler(pe, -1);
+                pe.barrier();
+                // A duplicate copy trails its original on the same
+                // FIFO wire; on the multi-process transports it is
+                // counted when the receiver processes it, so let the
+                // final barrier's duplicates land before the report.
+                std::thread::sleep(Duration::from_millis(50));
+                assert_eq!(got.load(Ordering::SeqCst), MSGS);
+            },
+        );
+        let want = FaultStats {
+            transmissions,
+            duplicated,
+            delayed,
+            dedup_dropped,
+            ..FaultStats::default()
+        };
+        for (t, r) in &reports {
+            assert_eq!(r.fault_stats, want, "{t:?} seed {seed} {faults:?}");
+        }
+    }
+}
