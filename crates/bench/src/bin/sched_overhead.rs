@@ -39,7 +39,7 @@
 //! ```
 
 use converse_msg::MsgBlock;
-use converse_net::{Interconnect, Packet};
+use converse_net::{CmiTransport, Interconnect, Packet};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

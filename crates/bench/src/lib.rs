@@ -26,6 +26,7 @@ pub mod ccs_load;
 
 use converse_core::{csd_scheduler, run, run_with, MachineConfig, Message, Pe};
 use converse_msg::HEADER_BYTES;
+use converse_net::CmiTransport;
 pub use converse_net::NetModel;
 use converse_queue::QueueingMode;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -205,4 +205,17 @@ impl Charm {
     pub fn local_group_branches(&self) -> usize {
         self.groups.local_branches()
     }
+
+    /// Destroy this PE's branch of `gid`, and any invocations held for
+    /// it. Local: call it on every PE once no invocation of the group
+    /// is in flight. Returns false if no branch lived here.
+    pub fn release_group_branch(&self, gid: GroupId) -> bool {
+        self.groups.early.lock().remove(&gid.0);
+        self.groups.branches.lock().remove(&gid.0).is_some()
+    }
+
+    /// Number of group kinds registered on this PE.
+    pub fn group_kinds(&self) -> usize {
+        self.groups.ctors.lock().len()
+    }
 }

@@ -71,16 +71,13 @@ impl Pe {
     /// of the caller's block, so this costs a refcount bump, not a
     /// payload copy (later in-place edits by the caller copy-on-write).
     pub fn sync_send(&self, dst: usize, msg: &Message) {
-        self.trace_send(dst, msg);
-        self.net()
-            .send_block(self.my_pe(), dst, msg.block().share());
+        self.sync_send_on(dst, converse_net::Channel::DEFAULT, msg);
     }
 
     /// Send `msg` to `dst`, consuming it (`CmiSyncSendAndFree`). The
     /// block moves to the wire outright — no copy, no refcount traffic.
     pub fn sync_send_and_free(&self, dst: usize, msg: Message) {
-        self.trace_send(dst, &msg);
-        self.net().send_block(self.my_pe(), dst, msg.into_block());
+        self.sync_send_and_free_on(dst, converse_net::Channel::DEFAULT, msg);
     }
 
     /// [`Pe::sync_send`] on an explicit delivery channel: the channel's
@@ -143,8 +140,7 @@ impl Pe {
             payload[off..off + p.len()].copy_from_slice(p);
             off += p.len();
         }
-        self.trace_send(dst, &msg);
-        self.net().send_block(self.my_pe(), dst, msg.into_block());
+        self.sync_send_and_free(dst, msg);
         self.comm.create(true)
     }
 
@@ -160,7 +156,7 @@ impl Pe {
             }
         }
         self.net()
-            .broadcast_excl_block(self.my_pe(), msg.block().share());
+            .broadcast_block(self.my_pe(), msg.block().share(), false);
     }
 
     /// Send to every PE including self (`CmiSyncBroadcastAll`). One
@@ -170,7 +166,7 @@ impl Pe {
             self.trace_send(dst, msg);
         }
         self.net()
-            .broadcast_all_block(self.my_pe(), msg.block().share());
+            .broadcast_block(self.my_pe(), msg.block().share(), true);
     }
 
     /// Broadcast to all and consume the message

@@ -15,7 +15,7 @@ use crate::exo::{MachineHandle, MachineService};
 use crate::pe::{MachineShared, Pe};
 pub use crate::pe::{QueueKind, StealConfig, ThreadBackend};
 use converse_net::{
-    Channel, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, PeTraffic,
 };
 use converse_trace::{NullSink, TraceSink};
 pub use converse_wire::{WireKind, WireOptions};

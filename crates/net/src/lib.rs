@@ -15,14 +15,9 @@
 //!   on it.
 //! * [`FaultPlan`] — a deterministic adversarial wire: seeded per-link
 //!   drop/duplication/delay plus scripted PE stall and crash windows.
-//!   When a plan is installed, a **reliability sublayer** masks it:
-//!   every packet carries a per-link sequence number, the receive side
-//!   deduplicates and reorders back into sequence, and a background pump
-//!   retransmits unacknowledged packets with capped exponential backoff
-//!   — so the machine layer above keeps its exactly-once in-order
-//!   contract even over a lossy net. Every fault decision is a pure
-//!   function of `(seed, link, seq, attempt)`, so one seed replays one
-//!   adversarial schedule regardless of thread interleaving.
+//!   The sans-IO [`reliable`] core masks it on every transport, so the
+//!   machine layer keeps its per-channel guarantees over a lossy net,
+//!   and one seed replays one schedule regardless of interleaving.
 //! * [`NetModel`] — an analytic wire-time model: `α` per-message latency,
 //!   `β` per-byte cost, per-packet cost, and an optional packetization
 //!   copy threshold (the T3D's 16 KB copy jump, §5.1). Benchmarks combine
@@ -32,6 +27,7 @@
 pub mod fault;
 pub mod model;
 pub mod qos;
+pub mod reliable;
 pub mod transport;
 
 pub use fault::{FaultPlan, FaultStats, LinkFaults, StallWindow};
@@ -41,9 +37,10 @@ pub use transport::CmiTransport;
 
 use converse_msg::MsgBlock;
 use converse_trace::{Event, FaultKind, TraceSink};
-use fault::{link_draw, unit, SALT_DELAY, SALT_DELAY_SLOTS, SALT_DROP, SALT_DUP, SALT_REORDER};
+use fault::{link_draw, SALT_REORDER};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use reliable::{Chans, FaultCounters, Receiver, Sender, Sink, Tally, Wire};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -182,7 +179,7 @@ pub struct PeTraffic {
 /// instantaneous mailbox depth and the load sample the PE itself
 /// publishes ([`Interconnect::publish_load`]). Returned by
 /// [`Interconnect::load_of`] and [`Interconnect::load_snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeLoad {
     /// The PE this snapshot describes.
     pub pe: usize,
@@ -250,120 +247,108 @@ fn bump(counter: &AtomicU64, by: u64) {
     counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
 }
 
-/// Aggregate fault-plane counters, atomically updated.
-#[derive(Default)]
-struct FaultCell {
-    transmissions: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-    retransmitted: AtomicU64,
-    dedup_dropped: AtomicU64,
-    superseded: AtomicU64,
-}
-
-/// A transmitted-but-unacknowledged packet held for retransmission.
-struct InFlight {
-    block: MsgBlock,
-    attempt: u32,
-    due: Instant,
-}
-
-/// A fault-delayed copy waiting in limbo for its release slot.
-struct Limbo {
-    seq: u64,
-    block: MsgBlock,
-    due: Instant,
-}
-
-/// Sublayer state of one *channel* of a directed link. Every channel
-/// of a link is an independent sequenced stream (numbering from 1; see
-/// [`Packet::seq`]); what the state is used for depends on the
-/// channel's [`Delivery`] policy:
-///
-/// * `ExactlyOnce` — the full PR-3 pipeline: `unacked` retransmit
-///   buffer, `ooo` reassembly window, `expected` in-order cursor.
-/// * `AtMostOnce` — `next_seq`/`expected` only (monotonic dedup
-///   floor); `unacked` stays empty, nothing is ever retransmitted.
-/// * `LatestValueWins` — at most one entry ever sits in `unacked`
-///   (a newer value supersedes the older one); `expected` is the
-///   monotonic floor.
-struct ChanState {
-    /// The channel this state serves (the id keys the map; the
-    /// delivery policy is needed again at pump time).
-    channel: Channel,
-    /// Sender side: next sequence number to stamp.
-    next_seq: u64,
-    /// Sender side: transmitted, not yet acknowledged, keyed by seq.
-    unacked: BTreeMap<u64, InFlight>,
-    /// Fault plane: delayed copies awaiting release.
-    limbo: Vec<Limbo>,
-    /// Receiver side: next sequence number to hand to the mailbox
-    /// (exactly-once), or the monotonic delivery floor (at-most-once /
-    /// latest-value-wins).
-    expected: u64,
-    /// Receiver side: arrived out of order, awaiting `expected`
-    /// (exactly-once only).
-    ooo: BTreeMap<u64, MsgBlock>,
-}
-
-impl ChanState {
-    fn new(channel: Channel) -> Self {
-        ChanState {
-            channel,
-            // Sequenced streams number from 1; 0 is the reserved
-            // unsequenced-fast-path marker.
-            next_seq: 1,
-            unacked: BTreeMap::new(),
-            limbo: Vec::new(),
-            expected: 1,
-            ooo: BTreeMap::new(),
-        }
+impl From<Channel> for (Sender, Receiver) {
+    fn from(channel: Channel) -> Self {
+        (channel.into(), channel.into())
     }
 }
 
-/// Reliability state of one directed link, split per channel. Both
-/// endpoints live in the same process, so the sender's retransmit
-/// buffer and the receiver's reassembly window share one mutex;
-/// acknowledgment is a direct state update (advancing `expected`
-/// releases everything below it), not a wire message.
-///
-/// Channel 0 (the default) is inline so the legacy hot path never
-/// touches the map; other channels materialize lazily on first use.
+/// Reliability state of one directed link: both halves of every
+/// channel's [`reliable`] core under one mutex. Acknowledgment is a
+/// direct state update, applied after each core call.
 ///
 /// Lock order: a link mutex may be held while taking a mailbox mutex,
 /// never the reverse.
+#[derive(Default)]
 struct LinkState {
-    /// Channel 0 — [`Channel::DEFAULT`], always present.
-    chan0: ChanState,
-    /// Lazily-created non-default channels, keyed by channel id.
-    extra: HashMap<u32, ChanState>,
-    /// Receiver side: count of mailbox deliveries on this link (all
-    /// channels) — the deterministic per-link key for reorder-mode
-    /// position draws.
+    chans: Chans<(Sender, Receiver)>,
+    /// Count of mailbox deliveries on this link (all channels): the
+    /// deterministic per-link key for reorder-mode position draws.
     arrivals: u64,
+    /// Acks the receiver half issued during one core call (a buffer
+    /// kept for its capacity).
+    acks: Vec<(u64, u64)>,
 }
 
-impl Default for LinkState {
-    fn default() -> Self {
-        LinkState {
-            chan0: ChanState::new(Channel::DEFAULT),
-            extra: HashMap::new(),
-            arrivals: 0,
+impl LinkState {
+    /// Run one core call on the sender half of `channel` (of every
+    /// channel when `None`) with the in-process sink, applying the acks
+    /// each call produced right after it.
+    fn drive(
+        &mut self,
+        net: &Interconnect,
+        (src, dst): (usize, usize),
+        channel: Option<Channel>,
+        mut call: impl FnMut(&mut Sender, &mut Local),
+    ) {
+        let LinkState {
+            chans,
+            arrivals,
+            acks,
+        } = self;
+        let mut run = |(tx, rx): &mut (Sender, Receiver)| {
+            let mut sink = Local {
+                net,
+                src,
+                dst,
+                channel: tx.channel(),
+                rx: Some(rx),
+                arrivals: &mut *arrivals,
+                acks: &mut *acks,
+            };
+            call(tx, &mut sink);
+            for (selective, cumulative) in acks.drain(..) {
+                tx.ack(selective, cumulative);
+            }
+        };
+        match channel {
+            Some(channel) => run(chans.get(channel)),
+            None => chans.iter_mut().for_each(run),
         }
     }
 }
 
-impl LinkState {
-    /// The sublayer state for `channel`, created on first use.
-    #[inline]
-    fn chan(&mut self, channel: Channel) -> &mut ChanState {
-        if channel.id == 0 {
-            &mut self.chan0
-        } else {
-            self.extra
-                .entry(channel.id)
-                .or_insert_with(|| ChanState::new(channel))
+/// The in-process [`Sink`]: a transmitted copy reaches the receiver
+/// half at once; acks queue for the sender half.
+struct Local<'a> {
+    net: &'a Interconnect,
+    src: usize,
+    dst: usize,
+    channel: Channel,
+    rx: Option<&'a mut Receiver>,
+    arrivals: &'a mut u64,
+    acks: &'a mut Vec<(u64, u64)>,
+}
+
+impl Sink for Local<'_> {
+    fn transmit(&mut self, seq: u64, block: &MsgBlock) {
+        let rx = self.rx.take().expect("receiver half");
+        rx.arrival(seq, block.share(), self);
+        self.rx = Some(rx);
+    }
+
+    fn deliver(&mut self, seq: u64, block: MsgBlock) {
+        let arrival = *self.arrivals;
+        *self.arrivals += 1;
+        // Mailbox lock nests inside the link lock (never reversed),
+        // keeping the seq→mailbox order atomic per link.
+        self.net
+            .mailbox_insert(self.src, self.dst, self.channel, seq, block, arrival);
+    }
+
+    fn ack(&mut self, selective: u64, cumulative: u64) {
+        self.acks.push((selective, cumulative));
+    }
+
+    fn count(&mut self, tally: Tally, seq: u64, n: u64) {
+        self.net.fstats.add(tally, n);
+        if let Tally::Fault(kind) = tally {
+            let pe = if kind == FaultKind::DedupDrop {
+                self.dst
+            } else {
+                self.src
+            };
+            self.net.trace_fault(pe, kind, self.src, self.dst, seq);
         }
     }
 }
@@ -384,7 +369,7 @@ pub struct Interconnect {
     /// Only touched when a plan is installed or reorder mode needs its
     /// per-link arrival counter.
     links: Vec<Mutex<LinkState>>,
-    fstats: FaultCell,
+    fstats: FaultCounters,
     trace: Option<Arc<dyn TraceSink>>,
     /// Stall windows: scripted ones from the plan plus any armed at
     /// runtime via [`Interconnect::stall_for`].
@@ -437,7 +422,7 @@ impl Interconnect {
             links: (0..n * n)
                 .map(|_| Mutex::new(LinkState::default()))
                 .collect(),
-            fstats: FaultCell::default(),
+            fstats: FaultCounters::default(),
             trace: trace.filter(|t| t.enabled()),
             stalls: Mutex::new(stalls),
             has_stalls: AtomicBool::new(has_stalls),
@@ -455,9 +440,9 @@ impl Interconnect {
                     let Some(net) = weak.upgrade() else { return };
                     net.pump_tick();
                     if net.is_closed() {
-                        // One more sweep with `closed` observed: flushes
-                        // every remaining limbo copy so late receivers
-                        // can still drain their mailboxes.
+                        // One more sweep with `closed` observed: a
+                        // flushing tick releases every held copy so late
+                        // receivers can still drain their mailboxes.
                         net.pump_tick();
                         return;
                     }
@@ -465,36 +450,6 @@ impl Interconnect {
                 .expect("spawn net-fault-pump");
         }
         net
-    }
-
-    /// Number of processors (`CmiNumPe`).
-    #[inline]
-    pub fn num_pes(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Time since the machine booted — the base for `CmiTimer`.
-    #[inline]
-    pub fn uptime(&self) -> Duration {
-        self.epoch.elapsed()
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.plan.as_ref()
-    }
-
-    /// Aggregate fault-plane and reliability counters.
-    pub fn fault_stats(&self) -> FaultStats {
-        FaultStats {
-            transmissions: self.fstats.transmissions.load(Ordering::Relaxed),
-            dropped: self.fstats.dropped.load(Ordering::Relaxed),
-            duplicated: self.fstats.duplicated.load(Ordering::Relaxed),
-            delayed: self.fstats.delayed.load(Ordering::Relaxed),
-            retransmitted: self.fstats.retransmitted.load(Ordering::Relaxed),
-            dedup_dropped: self.fstats.dedup_dropped.load(Ordering::Relaxed),
-            superseded: self.fstats.superseded.load(Ordering::Relaxed),
-        }
     }
 
     #[inline]
@@ -547,7 +502,7 @@ impl Interconnect {
                 q.retain(|p| !(p.src == src && p.channel.id == channel.id && p.seq < seq));
                 let purged = (before - q.len()) as u64;
                 if purged > 0 {
-                    self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
+                    self.fstats.add(Tally::Fault(FaultKind::Supersede), purged);
                     self.trace_fault(dst, FaultKind::Supersede, src, dst, seq);
                 }
             }
@@ -607,266 +562,53 @@ impl Interconnect {
     /// Transmit a block over link `src → dst` on `channel`: the
     /// reliable-wire fast path when no plan is installed (seq 0,
     /// except LatestValueWins which always sequences — its supersede
-    /// scan keys on `seq`), otherwise sequence + policy-dependent
-    /// buffering + one wire attempt through the fault plane.
+    /// scan keys on `seq`), otherwise through the [`reliable`] core.
     #[inline]
     fn transmit(&self, src: usize, dst: usize, channel: Channel, block: MsgBlock) {
-        let Some(plan) = &self.plan else {
-            let lvw = channel.delivery == Delivery::LatestValueWins;
-            match self.mode {
-                DeliveryMode::Fifo if !lvw => self.mailbox_insert(src, dst, channel, 0, block, 0),
-                _ => {
-                    // The arrival index must be read and the insert done
-                    // under the link lock so the draw keyed by it lands
-                    // at the position it determines; LVW also stamps a
-                    // real per-channel seq here so supersede ordering is
-                    // well-defined even on the clean wire.
-                    let mut link = self.links[self.li(src, dst)].lock();
-                    let arrival = link.arrivals;
-                    link.arrivals += 1;
-                    let seq = if lvw {
-                        let chan = link.chan(channel);
-                        let s = chan.next_seq;
-                        chan.next_seq += 1;
-                        s
-                    } else {
-                        0
-                    };
-                    self.mailbox_insert(src, dst, channel, seq, block, arrival);
-                }
-            }
-            return;
-        };
-        let seq;
-        {
-            let mut link = self.links[self.li(src, dst)].lock();
-            let chan = link.chan(channel);
-            seq = chan.next_seq;
-            chan.next_seq += 1;
-            match channel.delivery {
-                Delivery::ExactlyOnce => {
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-                Delivery::AtMostOnce => {
-                    // One wire attempt is all this channel gets: no
-                    // retransmit buffer, no acks, no sender state.
-                }
-                Delivery::LatestValueWins => {
-                    // Supersede everything older still in the sender's
-                    // hands: the retransmit slot and fault-plane limbo.
-                    // At most one value per channel is ever in flight.
-                    let purged = (chan.unacked.len() + chan.limbo.len()) as u64;
-                    chan.unacked.clear();
-                    chan.limbo.clear();
-                    if purged > 0 {
-                        self.fstats.superseded.fetch_add(purged, Ordering::Relaxed);
-                        self.trace_fault(src, FaultKind::Supersede, src, dst, seq);
-                    }
-                    chan.unacked.insert(
-                        seq,
-                        InFlight {
-                            block: block.share(),
-                            attempt: 1,
-                            due: Instant::now() + plan.rto,
-                        },
-                    );
-                }
-            }
+        let lvw = channel.delivery == Delivery::LatestValueWins;
+        if self.plan.is_none() && self.mode == DeliveryMode::Fifo && !lvw {
+            return self.mailbox_insert(src, dst, channel, 0, block, 0);
         }
-        self.wire_transmit(src, dst, channel, seq, 1, block);
-    }
-
-    /// One attempt to push `seq` of link `src → dst` across the faulty
-    /// wire: may be dropped, duplicated, or (per copy) delayed into
-    /// limbo; surviving immediate copies reach [`Self::deliver_link`].
-    /// Only called with a plan installed. Fault draws are salted by
-    /// channel id so every channel sees an independent decision stream
-    /// (channel 0's stream is the legacy one).
-    fn wire_transmit(
-        &self,
-        src: usize,
-        dst: usize,
-        channel: Channel,
-        seq: u64,
-        attempt: u32,
-        block: MsgBlock,
-    ) {
-        let plan = self.plan.as_ref().expect("wire_transmit requires a plan");
-        self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-        let f = plan.faults_for(src, dst);
-        // Per-channel salt offset: disjoint decision streams per
-        // channel, byte-identical to the pre-QoS draws for channel 0.
-        let co = channel.id as u64 * 4096;
-        if f.drop > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DROP + co)) < f.drop
-        {
-            self.fstats.dropped.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(src, FaultKind::Drop, src, dst, seq);
-            return;
-        }
-        let copies: u64 = if f.dup > 0.0
-            && unit(link_draw(plan.seed, src, dst, seq, attempt, SALT_DUP + co)) < f.dup
-        {
-            self.fstats.transmissions.fetch_add(1, Ordering::Relaxed);
-            self.fstats.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault(src, FaultKind::Duplicate, src, dst, seq);
-            2
-        } else {
-            1
-        };
-        let closed = self.is_closed();
-        for copy in 0..copies {
-            let b = block.share();
-            // Distinct decision streams per copy: shift the salt space.
-            let delay_salt = SALT_DELAY + co + copy * 16;
-            let slots_salt = SALT_DELAY_SLOTS + co + copy * 16;
-            let delayed = !closed
-                && f.delay > 0.0
-                && f.max_delay_slots > 0
-                && unit(link_draw(plan.seed, src, dst, seq, attempt, delay_salt)) < f.delay;
-            if delayed {
-                let slots = 1
-                    + (link_draw(plan.seed, src, dst, seq, attempt, slots_salt) as usize
-                        % f.max_delay_slots);
-                self.fstats.delayed.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(src, FaultKind::Delay, src, dst, seq);
-                let due = Instant::now() + plan.tick * slots as u32;
-                self.links[self.li(src, dst)]
-                    .lock()
-                    .chan(channel)
-                    .limbo
-                    .push(Limbo { seq, block: b, due });
-            } else {
-                self.deliver_link(src, dst, channel, seq, b);
-            }
-        }
-    }
-
-    /// Receive side of the QoS layer, dispatching on the channel's
-    /// guarantee. Exactly-once: dedup, reassemble into sequence, hand
-    /// in-order packets to the mailbox, and acknowledge (drop the
-    /// sender's retransmit buffer below the watermark). At-most-once /
-    /// latest-value-wins: a monotonic floor — only strictly newer seqs
-    /// are delivered, so nothing ever surfaces twice and a stale value
-    /// never overtakes a newer one.
-    fn deliver_link(&self, src: usize, dst: usize, channel: Channel, seq: u64, block: MsgBlock) {
         let mut link = self.links[self.li(src, dst)].lock();
-        let mut ready: Vec<(u64, MsgBlock)> = Vec::new();
-        {
-            let chan = link.chan(channel);
-            match channel.delivery {
-                Delivery::ExactlyOnce => {
-                    if seq < chan.expected || chan.ooo.contains_key(&seq) {
-                        self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.trace_fault(dst, FaultKind::DedupDrop, src, dst, seq);
-                        return;
-                    }
-                    // Selective acknowledgement: the copy is on the
-                    // receiver now, so stop retransmitting this seq even
-                    // if it sits out-of-order behind a gap. Without
-                    // this, one dropped packet makes every later
-                    // in-flight seq on the link look lost, and the
-                    // spurious retransmits blow the wire-overhead
-                    // budget.
-                    chan.unacked.remove(&seq);
-                    chan.ooo.insert(seq, block);
-                    loop {
-                        let next = chan.expected;
-                        let Some(block) = chan.ooo.remove(&next) else {
-                            break;
-                        };
-                        chan.expected += 1;
-                        ready.push((next, block));
-                    }
-                    let watermark = chan.expected;
-                    chan.unacked.retain(|s, _| *s >= watermark);
-                }
-                Delivery::AtMostOnce | Delivery::LatestValueWins => {
-                    if seq < chan.expected {
-                        self.fstats.dedup_dropped.fetch_add(1, Ordering::Relaxed);
-                        self.trace_fault(dst, FaultKind::DedupDrop, src, dst, seq);
-                        return;
-                    }
-                    chan.expected = seq + 1;
-                    // LVW acknowledgment: this value (and anything
-                    // older it superseded) is settled; stop
-                    // retransmitting at or below it. AtMostOnce keeps
-                    // no sender state, so the retain is a no-op there.
-                    chan.unacked.retain(|s, _| *s > seq);
-                    ready.push((seq, block));
-                }
-            }
+        if let Some(plan) = &self.plan {
+            let wire = self.wire(plan, src, dst);
+            return link.drive(self, (src, dst), Some(channel), |tx, sink| {
+                tx.send(&wire, &block, sink);
+            });
         }
-        for (s, b) in ready {
-            let arrival = link.arrivals;
-            link.arrivals += 1;
-            // Mailbox lock nests inside the link lock (never reversed),
-            // keeping the seq→mailbox order atomic per link.
-            self.mailbox_insert(src, dst, channel, s, b, arrival);
+        // The arrival index must be read and the insert done under the
+        // link lock so the draw keyed by it lands at the position it
+        // determines.
+        let seq = if lvw {
+            link.chans.get(channel).0.stamp()
+        } else {
+            0
+        };
+        let arrival = link.arrivals;
+        link.arrivals += 1;
+        self.mailbox_insert(src, dst, channel, seq, block, arrival);
+    }
+
+    fn wire<'a>(&self, plan: &'a FaultPlan, src: usize, dst: usize) -> Wire<'a> {
+        Wire {
+            plan,
+            src,
+            dst,
+            now: Instant::now(),
+            flush: self.is_closed(),
         }
     }
 
-    /// One pump pass: per channel of every link, release due (or, once
-    /// closed, all) limbo copies in sequence order, then retransmit
-    /// overdue unacknowledged packets with capped exponential backoff.
-    /// At-most-once channels never have unacked entries, so they only
-    /// ever see the limbo-release half.
+    /// One pump pass over every channel of every link: release due
+    /// (or, once closed, all) held copies and retransmit overdue ones.
     fn pump_tick(&self) {
         let Some(plan) = &self.plan else { return };
-        let now = Instant::now();
-        let closed = self.is_closed();
         let n = self.boxes.len();
-        for li in 0..self.links.len() {
+        for (li, link) in self.links.iter().enumerate() {
             let (src, dst) = (li / n, li % n);
-            let mut releases: Vec<(Channel, Limbo)> = Vec::new();
-            let mut retx: Vec<(Channel, u64, u32, MsgBlock)> = Vec::new();
-            {
-                let mut link = self.links[li].lock();
-                let mut pump_chan = |chan: &mut ChanState| {
-                    if chan.limbo.is_empty() && chan.unacked.is_empty() {
-                        return;
-                    }
-                    let channel = chan.channel;
-                    let mut i = 0;
-                    while i < chan.limbo.len() {
-                        if closed || chan.limbo[i].due <= now {
-                            releases.push((channel, chan.limbo.swap_remove(i)));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if !closed {
-                        for (seq, inf) in chan.unacked.iter_mut() {
-                            if inf.due <= now {
-                                inf.attempt += 1;
-                                let backoff = plan.rto * (1u32 << (inf.attempt - 1).min(10));
-                                inf.due = now + backoff.min(plan.rto_cap);
-                                retx.push((channel, *seq, inf.attempt, inf.block.share()));
-                            }
-                        }
-                    }
-                };
-                pump_chan(&mut link.chan0);
-                for chan in link.extra.values_mut() {
-                    pump_chan(chan);
-                }
-            }
-            releases.sort_by_key(|(c, l)| (c.id, l.seq));
-            for (channel, l) in releases {
-                self.deliver_link(src, dst, channel, l.seq, l.block);
-            }
-            for (channel, seq, attempt, block) in retx {
-                self.fstats.retransmitted.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault(src, FaultKind::Retransmit, src, dst, seq);
-                self.wire_transmit(src, dst, channel, seq, attempt, block);
-            }
+            let wire = self.wire(plan, src, dst);
+            link.lock()
+                .drive(self, (src, dst), None, |tx, sink| tx.tick(&wire, sink));
         }
     }
 
@@ -910,89 +652,6 @@ impl Interconnect {
         t.bytes_injected
             .fetch_add(block.len() as u64, Ordering::Relaxed);
         self.transmit(dst, dst, Channel::DEFAULT, block);
-    }
-
-    /// Broadcast to every PE except `src` (`CmiSyncBroadcast` semantics:
-    /// the paper notes the broadcast is *not* a barrier — only the
-    /// sender calls it). One block, P−1 refcount bumps: every
-    /// destination's packet aliases the same allocation.
-    pub fn broadcast_excl(&self, src: usize, block: impl Into<MsgBlock>) {
-        self.broadcast_to(src, block.into(), false);
-    }
-
-    /// Broadcast to every PE including `src` (one block, P bumps).
-    pub fn broadcast_all(&self, src: usize, block: impl Into<MsgBlock>) {
-        self.broadcast_to(src, block.into(), true);
-    }
-
-    /// Shared broadcast body: **pre-stage** all per-destination shares
-    /// before touching any link or mailbox lock, then run the append
-    /// loop. The refcount traffic (P bumps on one allocation, nothing
-    /// else) completes up front, so no destination's inbox lock is ever
-    /// held while another share is being minted — the append loop holds
-    /// exactly one short lock at a time. The original handle is dropped
-    /// before the appends, so a broadcast to P PEs is exactly 1
-    /// allocation + P live references, which tests assert via
-    /// [`MsgBlock::ref_count`] and the pool's take counter.
-    fn broadcast_to(&self, src: usize, block: MsgBlock, include_src: bool) {
-        let mut shares: Vec<(usize, MsgBlock)> = Vec::with_capacity(self.num_pes());
-        for dst in 0..self.num_pes() {
-            if include_src || dst != src {
-                shares.push((dst, block.share()));
-            }
-        }
-        drop(block);
-        for (dst, b) in shares {
-            self.send(src, dst, b);
-        }
-    }
-
-    /// True while `pe` sits inside a stall window — scripted by the
-    /// fault plan or armed via [`Interconnect::stall_for`]. A stalled
-    /// PE's receive paths yield nothing (its mailbox keeps filling). A
-    /// closed machine overrides every stall so teardown can drain.
-    #[inline]
-    pub fn stalled(&self, pe: usize) -> bool {
-        if !self.has_stalls.load(Ordering::Acquire) || self.is_closed() {
-            return false;
-        }
-        let t = self.uptime();
-        self.stalls
-            .lock()
-            .iter()
-            .any(|w| w.pe == pe && t >= w.from && w.to.is_none_or(|to| t < to))
-    }
-
-    /// Arm a stall window for `pe` covering the next `dur` of uptime.
-    /// Packets keep queuing; the PE's receive paths return nothing until
-    /// the window passes. Usable with or without a fault plan — this is
-    /// how tests stall a PE *after* boot-time barriers have completed.
-    pub fn stall_for(&self, pe: usize, dur: Duration) {
-        assert!(pe < self.num_pes(), "stall_for: PE {pe} out of range");
-        let from = self.uptime();
-        self.stalls.lock().push(StallWindow {
-            pe,
-            from,
-            to: Some(from + dur),
-        });
-        self.has_stalls.store(true, Ordering::Release);
-    }
-
-    /// Non-blocking receive: the next packet for `pe`, if any. Yields
-    /// nothing while `pe` is stalled. This is the thin single-message
-    /// wrapper over the two-list mailbox; bulk consumers (the scheduler)
-    /// should use [`Interconnect::drain_into`] instead, which amortizes
-    /// the lock traffic over whole batches.
-    #[inline]
-    pub fn try_recv(&self, pe: usize) -> Option<Packet> {
-        if self.stalled(pe) {
-            return None;
-        }
-        let out = self.mailbox_pop(pe);
-        if out.is_some() {
-            bump(&self.traffic[pe].msgs_recv, 1);
-        }
-        out
     }
 
     /// Batched receive: move **every** packet currently queued for `pe`
@@ -1051,135 +710,16 @@ impl Interconnect {
     /// is stalled the call sleeps in short slices — it never pops a
     /// packet inside a stall window.
     pub fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
-        let mbox = &self.boxes[pe];
         let deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            if self.stalled(pe) {
-                if now >= deadline {
-                    return None;
-                }
-                std::thread::sleep(STALL_SLICE.min(deadline.saturating_duration_since(now)));
-                continue;
-            }
-            if let Some(p) = self.mailbox_pop(pe) {
-                bump(&self.traffic[pe].msgs_recv, 1);
+            if let Some(p) = self.try_recv(pe) {
                 return Some(p);
             }
-            // Nothing staged and the inbox was empty at the pop: park on
-            // the inbox condvar. The re-check under the lock closes the
-            // race with a sender that pushed between the pop and here.
-            let mut q = mbox.inbox.lock();
-            if !q.is_empty() {
-                continue;
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            // With stall windows armed, wait only a slice at a time so a
-            // window opening mid-wait is observed before any pop.
-            let wake = if self.has_stalls.load(Ordering::Acquire) {
-                (now + STALL_SLICE).min(deadline)
-            } else {
-                deadline
-            };
-            if mbox.cv.wait_until(&mut q, wake).timed_out() && Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Park until `pe`'s mailbox is non-empty, the machine closes, or the
-    /// timeout expires. Used by the scheduler's idle loop so an idle PE
-    /// does not spin. A stalled PE parks for the duration (a non-empty
-    /// mailbox it is forbidden to read is not a wake condition).
-    pub fn wait_nonempty(&self, pe: usize, timeout: Duration) {
-        let mbox = &self.boxes[pe];
-        let deadline = Instant::now() + timeout;
-        loop {
             let now = Instant::now();
-            if now >= deadline {
-                return;
+            if now >= deadline || self.is_closed() {
+                return None;
             }
-            if self.stalled(pe) {
-                std::thread::sleep(STALL_SLICE.min(deadline.saturating_duration_since(now)));
-                continue;
-            }
-            let mut q = mbox.inbox.lock();
-            // Depth covers staged packets too: a receiver that left
-            // mail staged must not park on it.
-            if !q.is_empty()
-                || mbox.staged_len.load(Ordering::Acquire) > 0
-                || self.closed.load(Ordering::Acquire)
-            {
-                return;
-            }
-            let wake = if self.has_stalls.load(Ordering::Acquire) {
-                (now + STALL_SLICE).min(deadline)
-            } else {
-                deadline
-            };
-            if mbox.cv.wait_until(&mut q, wake).timed_out() && wake == deadline {
-                return;
-            }
-        }
-    }
-
-    /// Spin-then-park idle wait: spin up to `spin` iterations on the
-    /// lock-free mailbox depth (so a message landing within the spin
-    /// budget is noticed without paying a condvar wakeup), then fall
-    /// back to [`Interconnect::wait_nonempty`]. Returns the number of
-    /// spin iterations consumed (`spin` means the budget ran out and
-    /// the call parked). With stall windows armed it parks immediately —
-    /// a stalled PE must not burn a core polling mail it cannot read.
-    pub fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
-        if spin > 0 && !self.has_stalls.load(Ordering::Acquire) {
-            let mbox = &self.boxes[pe];
-            for i in 0..spin {
-                if mbox.depth() > 0 || self.closed.load(Ordering::Acquire) {
-                    return i;
-                }
-                std::hint::spin_loop();
-            }
-        }
-        self.wait_nonempty(pe, timeout);
-        spin
-    }
-
-    /// Queued (undelivered) packet count for `pe` — two atomic reads,
-    /// safe to poll from monitoring paths at any rate.
-    #[inline]
-    pub fn pending(&self, pe: usize) -> usize {
-        self.boxes[pe].depth()
-    }
-
-    /// Mark the machine closed and wake all blocked receivers. Receives
-    /// drain remaining packets, then return `None`. Stall windows stop
-    /// applying; the fault pump does one final limbo flush and exits.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        for b in &self.boxes {
-            // Hold the lock so a receiver between its check and its wait
-            // cannot miss the notification.
-            let _q = b.inbox.lock();
-            b.cv.notify_all();
-        }
-    }
-
-    /// True once [`Interconnect::close`] has run.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Traffic counters for `pe`.
-    pub fn traffic(&self, pe: usize) -> PeTraffic {
-        let t = &self.traffic[pe];
-        PeTraffic {
-            msgs_sent: t.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: t.bytes_sent.load(Ordering::Relaxed),
-            msgs_recv: t.msgs_recv.load(Ordering::Relaxed),
-            msgs_injected: t.msgs_injected.load(Ordering::Relaxed),
-            bytes_injected: t.bytes_injected.load(Ordering::Relaxed),
+            self.wait_nonempty(pe, deadline - now);
         }
     }
 
@@ -1198,16 +738,6 @@ impl Interconnect {
             occupancy_pm: cell.occupancy_pm.load(Ordering::Relaxed),
             stalled: self.stalled(pe),
         }
-    }
-
-    /// Publish `pe`'s own scheduler sample: run-queue depth and EMA
-    /// busy fraction in per-mille. Called (throttled) from the Csd loop;
-    /// single-writer per cell, so plain stores suffice.
-    pub fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
-        let cell = &self.loads[pe];
-        cell.run_queue.store(run_queue, Ordering::Relaxed);
-        cell.occupancy_pm
-            .store(occupancy_pm.min(1000), Ordering::Relaxed);
     }
 
     /// Depth of `pe`'s staged (receiver-private) list — the stealable
@@ -1257,49 +787,23 @@ impl Interconnect {
         stolen
     }
 
-    /// Move up to `max` stealable packets from `victim`'s staged list
-    /// into `thief`'s mailbox; returns how many moved. Donated packets
-    /// re-enter through the unsequenced (`seq == 0`) insert path — they
-    /// already cleared the reliability sublayer at the victim, so they
-    /// carry no per-link stream state. The two mailbox locks are never
-    /// held at once.
-    pub fn steal_from(&self, victim: usize, thief: usize, max: usize) -> usize {
-        if victim == thief {
-            return 0;
-        }
-        let stolen = self.steal_take(victim, max);
-        let n = stolen.len();
+    /// Insert stolen packets into `thief`'s mailbox and return how many.
+    /// They re-enter on the unsequenced (`seq == 0`) path: they already
+    /// cleared the reliability core at the victim. The splice instant
+    /// is marked (the oldest pending mark kept) so the thief's scheduler
+    /// can time splice→first-run.
+    pub fn splice(&self, thief: usize, stolen: impl IntoIterator<Item = Packet>) -> usize {
+        let mut n = 0;
         for p in stolen {
             self.mailbox_insert(p.src, thief, p.channel, 0, p.block, 0);
+            n += 1;
         }
         if n > 0 {
-            // Mark the splice instant (keeping the oldest pending one)
-            // so the thief's scheduler can time splice→first-run.
-            let now = self.uptime().as_nanos() as u64;
-            let _ = self.steal_marks[thief].compare_exchange(
-                0,
-                now.max(1),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+            let now = (self.uptime().as_nanos() as u64).max(1);
+            let mark = &self.steal_marks[thief];
+            let _ = mark.compare_exchange(0, now, Ordering::AcqRel, Ordering::Relaxed);
         }
         n
-    }
-
-    /// Take-and-clear `pe`'s steal splice mark (see
-    /// [`CmiTransport::take_steal_mark`]).
-    pub fn take_steal_mark(&self, pe: usize) -> u64 {
-        if self.steal_marks[pe].load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        self.steal_marks[pe].swap(0, Ordering::AcqRel)
-    }
-
-    /// Snapshot of every PE's load, in PE order. The per-PE reads are
-    /// not mutually atomic (the machine keeps running underneath), which
-    /// is fine for the monitoring/balancing uses this serves.
-    pub fn load_snapshot(&self) -> Vec<PeLoad> {
-        (0..self.num_pes()).map(|pe| self.load_of(pe)).collect()
     }
 
     /// Aggregate traffic over all PEs.
@@ -1314,6 +818,245 @@ impl Interconnect {
             out.bytes_injected += t.bytes_injected;
         }
         out
+    }
+}
+
+impl CmiTransport for Interconnect {
+    #[inline]
+    fn num_pes(&self) -> usize {
+        self.boxes.len()
+    }
+
+    #[inline]
+    fn uptime(&self) -> Duration {
+        self.epoch.elapsed()
+    }
+
+    #[inline]
+    fn send_block_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel) {
+        self.send_on(src, dst, block, channel);
+    }
+
+    #[inline]
+    fn inject_block(&self, dst: usize, block: MsgBlock) {
+        self.inject(dst, block);
+    }
+
+    /// Shared broadcast body: **pre-stage** all per-destination shares
+    /// before touching any link or mailbox lock, then run the append
+    /// loop. The refcount traffic (P bumps on one allocation, nothing
+    /// else) completes up front, so no destination's inbox lock is ever
+    /// held while another share is being minted — the append loop holds
+    /// exactly one short lock at a time. The original handle is dropped
+    /// before the appends, so a broadcast to P PEs is exactly 1
+    /// allocation + P live references, which tests assert via
+    /// [`MsgBlock::ref_count`] and the pool's take counter.
+    fn broadcast_block(&self, src: usize, block: MsgBlock, include_self: bool) {
+        let mut shares: Vec<(usize, MsgBlock)> = Vec::with_capacity(self.num_pes());
+        for dst in 0..self.num_pes() {
+            if include_self || dst != src {
+                shares.push((dst, block.share()));
+            }
+        }
+        drop(block);
+        for (dst, b) in shares {
+            self.send(src, dst, b);
+        }
+    }
+
+    fn broadcast_zero_copy(&self) -> bool {
+        true
+    }
+
+    /// Non-blocking receive: the next packet for `pe`, if any. Yields
+    /// nothing while `pe` is stalled. This is the thin single-message
+    /// wrapper over the two-list mailbox; bulk consumers (the scheduler)
+    /// should use [`Interconnect::drain_into`] instead, which amortizes
+    /// the lock traffic over whole batches.
+    #[inline]
+    fn try_recv(&self, pe: usize) -> Option<Packet> {
+        if self.stalled(pe) {
+            return None;
+        }
+        let out = self.mailbox_pop(pe);
+        if out.is_some() {
+            bump(&self.traffic[pe].msgs_recv, 1);
+        }
+        out
+    }
+
+    #[inline]
+    fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
+        self.drain_into_bounded(pe, out, max)
+    }
+
+    /// Park until `pe`'s mailbox is non-empty, the machine closes, or the
+    /// timeout expires. Used by the scheduler's idle loop so an idle PE
+    /// does not spin. A stalled PE parks for the duration (a non-empty
+    /// mailbox it is forbidden to read is not a wake condition).
+    fn wait_nonempty(&self, pe: usize, timeout: Duration) {
+        let mbox = &self.boxes[pe];
+        let deadline = Instant::now() + timeout;
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            if self.stalled(pe) {
+                std::thread::sleep(STALL_SLICE.min(deadline.saturating_duration_since(now)));
+                continue;
+            }
+            let mut q = mbox.inbox.lock();
+            // Depth covers staged packets too: a receiver that left
+            // mail staged must not park on it.
+            if !q.is_empty()
+                || mbox.staged_len.load(Ordering::Acquire) > 0
+                || self.closed.load(Ordering::Acquire)
+            {
+                return;
+            }
+            let wake = if self.has_stalls.load(Ordering::Acquire) {
+                (now + STALL_SLICE).min(deadline)
+            } else {
+                deadline
+            };
+            if mbox.cv.wait_until(&mut q, wake).timed_out() && wake == deadline {
+                return;
+            }
+        }
+    }
+
+    /// Spin-then-park idle wait: spin up to `spin` iterations on the
+    /// lock-free mailbox depth (so a message landing within the spin
+    /// budget is noticed without paying a condvar wakeup), then fall
+    /// back to [`Interconnect::wait_nonempty`]. Returns the number of
+    /// spin iterations consumed (`spin` means the budget ran out and
+    /// the call parked). With stall windows armed it parks immediately —
+    /// a stalled PE must not burn a core polling mail it cannot read.
+    fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
+        if spin > 0 && !self.has_stalls.load(Ordering::Acquire) {
+            let mbox = &self.boxes[pe];
+            for i in 0..spin {
+                if mbox.depth() > 0 || self.closed.load(Ordering::Acquire) {
+                    return i;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        self.wait_nonempty(pe, timeout);
+        spin
+    }
+
+    /// Queued (undelivered) packet count for `pe` — two atomic reads,
+    /// safe to poll from monitoring paths at any rate.
+    #[inline]
+    fn pending(&self, pe: usize) -> usize {
+        self.boxes[pe].depth()
+    }
+
+    /// True while `pe` sits inside a stall window — scripted by the
+    /// fault plan or armed via [`Interconnect::stall_for`]. A stalled
+    /// PE's receive paths yield nothing (its mailbox keeps filling). A
+    /// closed machine overrides every stall so teardown can drain.
+    #[inline]
+    fn stalled(&self, pe: usize) -> bool {
+        if !self.has_stalls.load(Ordering::Acquire) || self.is_closed() {
+            return false;
+        }
+        let t = self.uptime();
+        self.stalls
+            .lock()
+            .iter()
+            .any(|w| w.pe == pe && t >= w.from && w.to.is_none_or(|to| t < to))
+    }
+
+    /// Arm a stall window for `pe` covering the next `dur` of uptime.
+    /// Packets keep queuing; the PE's receive paths return nothing until
+    /// the window passes. Usable with or without a fault plan — this is
+    /// how tests stall a PE *after* boot-time barriers have completed.
+    fn stall_for(&self, pe: usize, dur: Duration) {
+        assert!(pe < self.num_pes(), "stall_for: PE {pe} out of range");
+        let from = self.uptime();
+        self.stalls.lock().push(StallWindow {
+            pe,
+            from,
+            to: Some(from + dur),
+        });
+        self.has_stalls.store(true, Ordering::Release);
+    }
+
+    /// Mark the machine closed and wake all blocked receivers. Receives
+    /// drain remaining packets, then return `None`. Stall windows stop
+    /// applying; the fault pump runs one final flushing tick and exits.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        for b in &self.boxes {
+            // Hold the lock so a receiver between its check and its wait
+            // cannot miss the notification.
+            let _q = b.inbox.lock();
+            b.cv.notify_all();
+        }
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    fn traffic(&self, pe: usize) -> PeTraffic {
+        let t = &self.traffic[pe];
+        PeTraffic {
+            msgs_sent: t.msgs_sent.load(Ordering::Relaxed),
+            bytes_sent: t.bytes_sent.load(Ordering::Relaxed),
+            msgs_recv: t.msgs_recv.load(Ordering::Relaxed),
+            msgs_injected: t.msgs_injected.load(Ordering::Relaxed),
+            bytes_injected: t.bytes_injected.load(Ordering::Relaxed),
+        }
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.fstats.snapshot()
+    }
+
+    fn transport_name(&self) -> &'static str {
+        "inproc"
+    }
+
+    /// Publish `pe`'s own scheduler sample: run-queue depth and EMA
+    /// busy fraction in per-mille. Called (throttled) from the Csd loop;
+    /// single-writer per cell, so plain stores suffice.
+    fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
+        let cell = &self.loads[pe];
+        cell.run_queue.store(run_queue, Ordering::Relaxed);
+        cell.occupancy_pm
+            .store(occupancy_pm.min(1000), Ordering::Relaxed);
+    }
+
+    fn remote_load_visible(&self) -> bool {
+        true
+    }
+
+    /// Move up to `max` stealable packets from `victim`'s staged list
+    /// into `thief`'s mailbox; returns how many moved. The two mailbox
+    /// locks are never held at once.
+    fn steal_from(&self, victim: usize, thief: usize, max: usize) -> usize {
+        if victim == thief {
+            return 0;
+        }
+        self.splice(thief, self.steal_take(victim, max))
+    }
+
+    fn take_steal_mark(&self, pe: usize) -> u64 {
+        if self.steal_marks[pe].load(Ordering::Relaxed) == 0 {
+            return 0;
+        }
+        self.steal_marks[pe].swap(0, Ordering::AcqRel)
+    }
+
+    /// Snapshot of every PE's load, in PE order. The per-PE reads are
+    /// not mutually atomic (the machine keeps running underneath), which
+    /// is fine for the monitoring/balancing uses this serves.
+    fn load_snapshot(&self) -> Vec<PeLoad> {
+        (0..self.num_pes()).map(|pe| self.load_of(pe)).collect()
     }
 }
 
@@ -1352,7 +1095,7 @@ mod tests {
     #[test]
     fn broadcast_excl_skips_sender() {
         let net = Interconnect::new(4);
-        net.broadcast_excl(1, vec![7u8]);
+        net.broadcast_block(1, vec![7u8].into(), false);
         assert!(net.try_recv(1).is_none());
         for pe in [0, 2, 3] {
             assert_eq!(net.try_recv(pe).unwrap().bytes(), vec![7]);
@@ -1362,7 +1105,7 @@ mod tests {
     #[test]
     fn broadcast_all_includes_sender() {
         let net = Interconnect::new(3);
-        net.broadcast_all(0, vec![8u8]);
+        net.broadcast_block(0, vec![8u8].into(), true);
         for pe in 0..3 {
             assert_eq!(net.try_recv(pe).unwrap().bytes(), vec![8]);
         }
@@ -1505,7 +1248,7 @@ mod tests {
         let block = MsgBlock::copy_from(&[9u8; 777]);
         let src_ptr = block.as_ptr();
         let takes = converse_msg::pool::stats().takes();
-        net.broadcast_all(0, block);
+        net.broadcast_block(0, block, true);
         assert_eq!(
             converse_msg::pool::stats().takes(),
             takes,
@@ -2090,7 +1833,7 @@ mod tests {
         // two-list mailbox rework.
         let p_count = 6;
         let net = Interconnect::new(p_count);
-        net.broadcast_all(0, MsgBlock::copy_from(&[3u8; 64]));
+        net.broadcast_block(0, MsgBlock::copy_from(&[3u8; 64]), true);
         let packets: Vec<Packet> = (0..p_count).map(|pe| net.try_recv(pe).unwrap()).collect();
         for p in &packets {
             assert_eq!(p.block.ref_count(), p_count);

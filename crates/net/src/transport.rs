@@ -41,13 +41,10 @@ pub trait CmiTransport: Send + Sync {
     /// the startup barrier keeps the skew to connection-setup time.
     fn uptime(&self) -> Duration;
 
-    /// Deliver `block` from `src` into `dst`'s mailbox on the default
-    /// (exactly-once) channel. Never blocks.
-    fn send_block(&self, src: usize, dst: usize, block: MsgBlock);
-
     /// Deliver `block` from `src` into `dst`'s mailbox on an explicit
-    /// delivery channel; the channel's [`Channel::delivery`] guarantee
-    /// governs loss, duplication, and supersession. Both transports
+    /// delivery channel ([`Channel::DEFAULT`] is exactly-once); the
+    /// channel's [`Channel::delivery`] guarantee governs loss,
+    /// duplication, and supersession. Both transports
     /// honor the same per-channel semantics (the conformance suite
     /// keeps them from drifting). Never blocks.
     fn send_block_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel);
@@ -57,17 +54,14 @@ pub trait CmiTransport: Send + Sync {
     /// not as a send.
     fn inject_block(&self, dst: usize, block: MsgBlock);
 
-    /// Broadcast to every PE except `src` (`CmiSyncBroadcast` shape).
-    /// The **allocation contract is per-transport**: in-process this is
-    /// one allocation plus P−1 refcount bumps (all packets alias one
+    /// Broadcast to every PE, `src` included only when `include_self`
+    /// (`CmiSyncBroadcast` / `CmiSyncBroadcastAll`). The **allocation
+    /// contract is per-transport**: in-process this is one allocation
+    /// plus one refcount bump per destination (all packets alias one
     /// buffer); across processes each remote destination necessarily
     /// receives its own copy off the wire. Assert against
     /// [`CmiTransport::broadcast_zero_copy`], never a hard-coded count.
-    fn broadcast_excl_block(&self, src: usize, block: MsgBlock);
-
-    /// Broadcast to every PE including `src`; same contract note as
-    /// [`CmiTransport::broadcast_excl_block`].
-    fn broadcast_all_block(&self, src: usize, block: MsgBlock);
+    fn broadcast_block(&self, src: usize, block: MsgBlock, include_self: bool);
 
     /// True when a P-way broadcast on this transport shares one
     /// allocation (refcount bumps only). False when destinations in
@@ -81,10 +75,6 @@ pub trait CmiTransport: Send + Sync {
     /// Batched receive: move up to `max` queued packets for `pe` into
     /// `out` (preserving delivery order), returning how many moved.
     fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize;
-
-    /// Blocking receive with timeout; `None` on timeout or once the
-    /// machine has closed and the mailbox drained.
-    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet>;
 
     /// Park until `pe`'s mailbox is non-empty, the machine closes, or
     /// the timeout expires.
@@ -129,29 +119,13 @@ pub trait CmiTransport: Send + Sync {
 
     /// Publish `pe`'s own scheduler load sample (run-queue depth, EMA
     /// busy fraction in per-mille) for other PEs — and the CCS monitor —
-    /// to read back through [`CmiTransport::load_of`]. No-op on
+    /// to read back through [`CmiTransport::load_snapshot`]. No-op on
     /// transports without a shared load board.
     fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
         let _ = (pe, run_queue, occupancy_pm);
     }
 
-    /// Depth of `pe`'s staged (receiver-private, stealable) list.
-    /// Distributed transports answer only for their local PE.
-    fn staged_pending(&self, pe: usize) -> usize {
-        let _ = pe;
-        0
-    }
-
-    /// Last load sample `pe` published via
-    /// [`CmiTransport::publish_load`]: `(run_queue, occupancy_pm)`.
-    /// `(0, 0)` until first publish, or for ranks this transport cannot
-    /// observe.
-    fn published_load(&self, pe: usize) -> (usize, u32) {
-        let _ = pe;
-        (0, 0)
-    }
-
-    /// True when [`CmiTransport::load_of`] of a *remote* PE reflects its
+    /// True when [`CmiTransport::load_snapshot`] of a *remote* PE reflects its
     /// real state. Shared-memory transports see everything; distributed
     /// transports degrade remote reads to zeros, so balancers there must
     /// fall back to gossiped samples.
@@ -179,187 +153,10 @@ pub trait CmiTransport: Send + Sync {
         0
     }
 
-    /// Live load view of one PE. Distributed transports degrade for
-    /// remote ranks: counters and depth read zero, stalled reads false.
-    fn load_of(&self, pe: usize) -> PeLoad {
-        let (run_queue, occupancy_pm) = self.published_load(pe);
-        PeLoad {
-            pe,
-            traffic: self.traffic(pe),
-            queued: self.pending(pe),
-            staged: self.staged_pending(pe),
-            run_queue,
-            occupancy_pm,
-            stalled: self.stalled(pe),
-        }
-    }
-
-    /// Snapshot of every PE's load, in PE order (same degrade note as
-    /// [`CmiTransport::load_of`]).
-    fn load_snapshot(&self) -> Vec<PeLoad> {
-        (0..self.num_pes()).map(|pe| self.load_of(pe)).collect()
-    }
-
-    /// Aggregate traffic over all PEs this transport can observe.
-    fn total_traffic(&self) -> PeTraffic {
-        let mut out = PeTraffic::default();
-        for pe in 0..self.num_pes() {
-            let t = self.traffic(pe);
-            out.msgs_sent += t.msgs_sent;
-            out.bytes_sent += t.bytes_sent;
-            out.msgs_recv += t.msgs_recv;
-            out.msgs_injected += t.msgs_injected;
-            out.bytes_injected += t.bytes_injected;
-        }
-        out
-    }
-}
-
-impl CmiTransport for crate::Interconnect {
-    #[inline]
-    fn num_pes(&self) -> usize {
-        Self::num_pes(self)
-    }
-
-    #[inline]
-    fn uptime(&self) -> Duration {
-        Self::uptime(self)
-    }
-
-    #[inline]
-    fn send_block(&self, src: usize, dst: usize, block: MsgBlock) {
-        self.send(src, dst, block);
-    }
-
-    #[inline]
-    fn send_block_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel) {
-        self.send_on(src, dst, block, channel);
-    }
-
-    #[inline]
-    fn inject_block(&self, dst: usize, block: MsgBlock) {
-        self.inject(dst, block);
-    }
-
-    #[inline]
-    fn broadcast_excl_block(&self, src: usize, block: MsgBlock) {
-        self.broadcast_excl(src, block);
-    }
-
-    #[inline]
-    fn broadcast_all_block(&self, src: usize, block: MsgBlock) {
-        self.broadcast_all(src, block);
-    }
-
-    fn broadcast_zero_copy(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn try_recv(&self, pe: usize) -> Option<Packet> {
-        Self::try_recv(self, pe)
-    }
-
-    #[inline]
-    fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
-        self.drain_into_bounded(pe, out, max)
-    }
-
-    #[inline]
-    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
-        Self::recv_timeout(self, pe, timeout)
-    }
-
-    #[inline]
-    fn wait_nonempty(&self, pe: usize, timeout: Duration) {
-        Self::wait_nonempty(self, pe, timeout)
-    }
-
-    #[inline]
-    fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
-        Self::wait_nonempty_spin(self, pe, timeout, spin)
-    }
-
-    #[inline]
-    fn pending(&self, pe: usize) -> usize {
-        Self::pending(self, pe)
-    }
-
-    #[inline]
-    fn stalled(&self, pe: usize) -> bool {
-        Self::stalled(self, pe)
-    }
-
-    #[inline]
-    fn stall_for(&self, pe: usize, dur: Duration) {
-        Self::stall_for(self, pe, dur)
-    }
-
-    #[inline]
-    fn close(&self) {
-        Self::close(self)
-    }
-
-    #[inline]
-    fn is_closed(&self) -> bool {
-        Self::is_closed(self)
-    }
-
-    #[inline]
-    fn traffic(&self, pe: usize) -> PeTraffic {
-        Self::traffic(self, pe)
-    }
-
-    #[inline]
-    fn fault_stats(&self) -> FaultStats {
-        Self::fault_stats(self)
-    }
-
-    fn transport_name(&self) -> &'static str {
-        "inproc"
-    }
-
-    #[inline]
-    fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
-        Self::publish_load(self, pe, run_queue, occupancy_pm)
-    }
-
-    #[inline]
-    fn staged_pending(&self, pe: usize) -> usize {
-        self.staged_of(pe)
-    }
-
-    #[inline]
-    fn published_load(&self, pe: usize) -> (usize, u32) {
-        let l = Self::load_of(self, pe);
-        (l.run_queue, l.occupancy_pm)
-    }
-
-    fn remote_load_visible(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn steal_from(&self, victim: usize, thief: usize, max: usize) -> usize {
-        Self::steal_from(self, victim, thief, max)
-    }
-
-    #[inline]
-    fn take_steal_mark(&self, pe: usize) -> u64 {
-        Self::take_steal_mark(self, pe)
-    }
-
-    fn load_of(&self, pe: usize) -> PeLoad {
-        Self::load_of(self, pe)
-    }
-
-    fn load_snapshot(&self) -> Vec<PeLoad> {
-        Self::load_snapshot(self)
-    }
-
-    fn total_traffic(&self) -> PeTraffic {
-        Self::total_traffic(self)
-    }
+    /// Snapshot of every PE's load, in PE order. Distributed transports
+    /// degrade for remote ranks: counters and depths read zero, stalled
+    /// reads false.
+    fn load_snapshot(&self) -> Vec<PeLoad>;
 }
 
 #[cfg(test)]
@@ -375,7 +172,7 @@ mod tests {
         assert_eq!(t.num_pes(), 2);
         assert_eq!(t.transport_name(), "inproc");
         assert!(t.broadcast_zero_copy());
-        t.send_block(0, 1, MsgBlock::copy_from(b"via trait"));
+        t.send_block_on(0, 1, MsgBlock::copy_from(b"via trait"), Channel::DEFAULT);
         let p = t.try_recv(1).expect("delivered");
         assert_eq!(p.src, 0);
         assert_eq!(p.bytes(), b"via trait");
@@ -384,12 +181,12 @@ mod tests {
         t.send_block_on(0, 1, MsgBlock::copy_from(b"qos"), qos);
         let p = t.try_recv(1).expect("qos channel delivered");
         assert_eq!(p.channel, qos);
-        t.broadcast_all_block(0, MsgBlock::copy_from(b"b"));
+        t.broadcast_block(0, MsgBlock::copy_from(b"b"), true);
         let mut out = VecDeque::new();
         assert_eq!(t.drain_bounded(0, &mut out, 8), 1);
         assert_eq!(t.drain_bounded(1, &mut out, 8), 1);
         assert_eq!(t.load_snapshot().len(), 2);
-        assert_eq!(t.total_traffic().msgs_sent, 4);
+        assert_eq!(t.traffic(0).msgs_sent, 4);
         t.close();
         assert!(t.is_closed());
     }

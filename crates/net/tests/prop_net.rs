@@ -1,6 +1,6 @@
 //! Property tests for the simulated interconnect and the wire models.
 
-use converse_net::{DeliveryMode, FaultPlan, Interconnect, LinkFaults, NetModel};
+use converse_net::{CmiTransport, DeliveryMode, FaultPlan, Interconnect, LinkFaults, NetModel};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -46,7 +46,7 @@ proptest! {
                 Op::BroadcastExcl { src } => {
                     stamp += 1;
                     let bytes = stamp.to_le_bytes().to_vec();
-                    net.broadcast_excl(src, bytes.clone());
+                    net.broadcast_block(src, bytes.clone().into(), false);
                     for dst in 0..n {
                         if dst != src {
                             model.entry((src, dst)).or_default().push(bytes.clone());
@@ -56,7 +56,7 @@ proptest! {
                 Op::BroadcastAll { src } => {
                     stamp += 1;
                     let bytes = stamp.to_le_bytes().to_vec();
-                    net.broadcast_all(src, bytes.clone());
+                    net.broadcast_block(src, bytes.clone().into(), true);
                     for dst in 0..n {
                         model.entry((src, dst)).or_default().push(bytes.clone());
                     }
@@ -151,7 +151,7 @@ proptest! {
             for k in 0..noise {
                 net.send(r % n, (r + k) % n, vec![0xEE; 16]);
             }
-            net.broadcast_all(r % n, block.share());
+            net.broadcast_block(r % n, block.share(), true);
             kept.push(block);
         }
         // Every PE sees every round's broadcast, bit-identical, aliasing

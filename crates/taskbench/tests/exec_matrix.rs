@@ -132,3 +132,23 @@ fn payload_bytes_feed_the_hash_chain() {
         );
     });
 }
+
+/// Back-to-back Charm runs on one machine leave nothing behind: each
+/// run releases its group branch (which holds the run's state), and
+/// the branch kind is registered once per PE, not once per run.
+#[test]
+fn repeated_charm_runs_release_their_branches() {
+    let graph = Arc::new(TaskGraph::generate(spec(Pattern::Stencil1D, 7)));
+    converse_machine::run_with(MachineConfig::new(PES), move |pe| {
+        let opts = RunOpts::default();
+        let mut kinds = None;
+        for _ in 0..20 {
+            let summary = run_graph_charm(pe, &graph, &opts);
+            assert_machine_valid(pe, &graph, &summary, opts.payload_bytes);
+            let charm = converse_charm::Charm::get(pe);
+            assert_eq!(charm.local_group_branches(), 0, "a run leaked its branch");
+            let n = charm.group_kinds();
+            assert_eq!(*kinds.get_or_insert(n), n, "a run registered another kind");
+        }
+    });
+}

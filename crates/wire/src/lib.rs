@@ -16,15 +16,11 @@
 //! * Frames are the length-prefixed encoding in `converse_msg::frame` —
 //!   the payload is the generalized message verbatim, so everything
 //!   above the transport is bit-identical across wires.
-//! * When a [`converse_net::FaultPlan`] is installed, the PR-3
-//!   seq/ack/retransmit reliability sublayer runs **over the real
-//!   socket**: the sender injects deterministic drops/duplicates/delays
-//!   (same [`converse_net::fault::link_draw`] streams as the modeled
-//!   link, so a seed reproduces the same adversity in both transports)
-//!   and masks them with retransmission, per-link sequencing and
-//!   receiver dedup — exactly-once, in-order delivery on a wire that is
-//!   genuinely asynchronous. Control frames (ACK/bootstrap/teardown)
-//!   ride the socket un-faulted: the plan models the data channel.
+//! * When a [`converse_net::FaultPlan`] is installed, the same
+//!   [`converse_net::reliable`] core as in-process runs **over the real
+//!   wire**, its transmits and acks encoded as DATA and ACK frames, so a
+//!   seed reproduces the same adversity on every transport. Control
+//!   frames ride un-faulted: the plan models the data channel.
 //!
 //! Bootstrap handshake: worker connects, sends `HELLO(rank)`; once the
 //! hub has all `n` hellos it broadcasts `GO` — the collective startup

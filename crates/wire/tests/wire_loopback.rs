@@ -4,7 +4,8 @@
 //! protocol itself — bootstrap barrier, routing, reliability over the
 //! wire, teardown — without the exec machinery.
 
-use converse_net::{CmiTransport, DeliveryMode, FaultPlan, LinkFaults};
+use converse_msg::MsgBlock;
+use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults, Packet};
 use converse_trace::NullSink;
 use converse_wire::{WireEndpoint, WireHub, WireKind, WireOptions, WorkerReport};
 use std::sync::Arc;
@@ -15,6 +16,32 @@ fn opts() -> WireOptions {
         accept_timeout: Duration::from_secs(20),
         connect_timeout: Duration::from_secs(10),
         ..WireOptions::default()
+    }
+}
+
+/// Default-channel send and blocking receive, built on the trait.
+trait EndpointExt {
+    fn send_block(&self, src: usize, dst: usize, block: MsgBlock);
+    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet>;
+}
+
+impl EndpointExt for WireEndpoint {
+    fn send_block(&self, src: usize, dst: usize, block: MsgBlock) {
+        self.send_block_on(src, dst, block, Channel::DEFAULT);
+    }
+
+    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(p) = self.try_recv(pe) {
+                return Some(p);
+            }
+            let now = Instant::now();
+            if now >= deadline || self.is_closed() {
+                return None;
+            }
+            self.wait_nonempty(pe, deadline - now);
+        }
     }
 }
 
@@ -151,7 +178,7 @@ fn broadcast_reaches_every_rank_as_copies() {
         assert!(!ep.broadcast_zero_copy());
         assert_eq!(ep.transport_name(), "socket");
         if rank == 0 {
-            ep.broadcast_excl_block(0, b"fanout".as_slice().into());
+            ep.broadcast_block(0, b"fanout".as_slice().into(), false);
         } else {
             let p = ep
                 .recv_timeout(rank, Duration::from_secs(10))
