@@ -26,7 +26,6 @@ pub mod ccs_load;
 
 use converse_core::{csd_scheduler, run, run_with, MachineConfig, Message, Pe};
 use converse_msg::HEADER_BYTES;
-use converse_net::CmiTransport;
 pub use converse_net::NetModel;
 use converse_queue::QueueingMode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,12 +84,12 @@ pub fn raw_loopback_ns(size: usize, iters: u64) -> f64 {
     // Warm up.
     for _ in 0..100 {
         net.send(0, 0, payload.share());
-        net.try_recv(0).expect("loopback");
+        net.mailbox_of(0).try_recv().expect("loopback");
     }
     let t0 = Instant::now();
     for _ in 0..iters {
         net.send(0, 0, payload.share());
-        std::hint::black_box(net.try_recv(0).expect("loopback"));
+        std::hint::black_box(net.mailbox_of(0).try_recv().expect("loopback"));
     }
     t0.elapsed().as_nanos() as f64 / iters as f64
 }

@@ -36,7 +36,7 @@
 use crate::pe::{MachineShared, Pe};
 use converse_msg::pack::{PackError, Packer, Unpacker};
 use converse_msg::{HandlerId, Message};
-use converse_net::{CmiTransport, PeLoad};
+use converse_net::{CmiTransport, Interconnect, PeLoad};
 use converse_queue::QueueingMode;
 use converse_trace::Event;
 use parking_lot::{Mutex, RwLock};
@@ -129,7 +129,8 @@ pub trait MachineService: Send {
 /// live load. Cloneable; safe to hold in service threads.
 #[derive(Clone)]
 pub struct MachineHandle {
-    pub(crate) net: Arc<dyn CmiTransport>,
+    /// Services run only on the in-process transport.
+    pub(crate) net: Arc<Interconnect>,
     pub(crate) shared: Arc<MachineShared>,
     pub(crate) exo_req: HandlerId,
 }

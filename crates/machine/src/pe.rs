@@ -14,7 +14,7 @@ use crate::mmi::CommHandles;
 use crate::pgrp::PgrpState;
 use crate::scatter::ScatterState;
 use converse_msg::{HandlerId, Message};
-use converse_net::{Channel, CmiTransport, Packet};
+use converse_net::{Channel, CmiTransport, Mailbox, Packet};
 use converse_queue::{CsdQueue, FifoQueue, LifoQueue, QueueingMode, SchedulingQueue};
 use converse_trace::{Event, StealPhase, TraceSink};
 use parking_lot::{Mutex, RwLock};
@@ -178,7 +178,7 @@ pub struct Pe {
     /// for other handlers; consumed before the network on retrieval.
     pending: Mutex<VecDeque<Message>>,
     /// Local intake batch: packets pulled off the net by a bulk
-    /// [`CmiTransport::drain_bounded`] and not yet retrieved. Every
+    /// [`Mailbox::drain`] and not yet retrieved. Every
     /// retrieval path pops here before touching the network, so a batch
     /// never lets a later wire arrival overtake an earlier one — the
     /// per-link FIFO contract survives recursive retrieval (a handler
@@ -329,9 +329,9 @@ impl Pe {
     }
 
     /// Short name of the transport carrying this PE's messages
-    /// (`"inproc"` or `"socket"`).
+    /// (`"inproc"`, `"socket"` or `"shmring"`).
     pub fn transport_name(&self) -> &'static str {
-        self.net.transport_name()
+        self.net.kind().name()
     }
 
     /// Resolve a delivery channel declared with
@@ -355,13 +355,21 @@ impl Pe {
     /// broadcast allocation contract through this, never a hard-coded
     /// count.
     pub fn broadcast_zero_copy(&self) -> bool {
-        self.net.broadcast_zero_copy()
+        self.net.kind().shares_memory()
     }
 
     /// The interconnect this PE is attached to.
     #[inline]
     pub(crate) fn net(&self) -> &Arc<dyn CmiTransport> {
         &self.net
+    }
+
+    /// This PE's own mailbox — always local, on every transport.
+    #[inline]
+    fn mailbox(&self) -> &Mailbox {
+        self.net
+            .mailbox(self.id)
+            .expect("a PE's own mailbox lives in its process")
     }
 
     /// Arm a stall window: PE `target` stops retrieving messages for the
@@ -373,9 +381,11 @@ impl Pe {
         self.net.stall_for(target, dur);
     }
 
-    /// True while `target` sits inside a stall window.
+    /// True while `target` sits inside a stall window. On distributed
+    /// transports only this PE is observable; other ranks read as not
+    /// stalled.
     pub fn pe_stalled(&self, target: usize) -> bool {
-        self.net.stalled(target)
+        self.net.mailbox(target).is_some_and(Mailbox::stalled)
     }
 
     /// Aggregate fault-plane and reliability counters of the machine's
@@ -387,18 +397,18 @@ impl Pe {
     /// Seconds since machine boot with sub-microsecond resolution
     /// (`CmiTimer`).
     pub fn timer(&self) -> f64 {
-        self.net.uptime().as_secs_f64()
+        self.mailbox().uptime().as_secs_f64()
     }
 
     /// Nanoseconds since machine boot.
     pub fn now_ns(&self) -> u64 {
-        self.net.uptime().as_nanos() as u64
+        self.mailbox().uptime().as_nanos() as u64
     }
 
     /// Whole milliseconds since machine boot — the coarse variant of the
     /// paper's "timers with different resolutions".
     pub fn timer_coarse_ms(&self) -> u64 {
-        self.net.uptime().as_millis() as u64
+        self.mailbox().uptime().as_millis() as u64
     }
 
     /// Fresh machine-unique-enough request id for internal protocols.
@@ -454,7 +464,7 @@ impl Pe {
             // moment stolen work was spliced into this PE's stream; the
             // next handler dispatch here closes the interval.
             if self.shared.steal.is_some() {
-                let mark = self.net.take_steal_mark(self.id);
+                let mark = self.mailbox().take_steal_mark();
                 if mark != 0 {
                     let now = self.now_ns();
                     self.trace.record(
@@ -590,8 +600,9 @@ impl Pe {
         if self.shared.panicked.load(Ordering::Acquire) {
             panic!("PE {}: aborting — another PE panicked", self.id);
         }
-        if self.net.is_closed()
-            && self.net.pending(self.id) == 0
+        let mailbox = self.mailbox();
+        if mailbox.is_closed()
+            && mailbox.pending() == 0
             && self.intake.lock().is_empty()
             && self.pending.lock().is_empty()
         {
@@ -693,7 +704,7 @@ impl Pe {
     /// batch-drained packets sitting in the intake buffer, plus anything
     /// buffered by `get_specific_msg`.
     pub fn inbound_pending(&self) -> usize {
-        self.net.pending(self.id) + self.intake.lock().len() + self.pending.lock().len()
+        self.mailbox().pending() + self.intake.lock().len() + self.pending.lock().len()
     }
 
     /// The next inbound packet in delivery order, refilling the intake
@@ -707,7 +718,7 @@ impl Pe {
         if let Some(p) = intake.pop_front() {
             return Some(p);
         }
-        let n = self.net.drain_bounded(self.id, &mut intake, budget.max(1));
+        let n = self.mailbox().drain(&mut *intake, budget.max(1));
         if n > 0 {
             self.trace_sched_batch(n);
         }
@@ -739,9 +750,7 @@ impl Pe {
     /// does not pay a full condvar wakeup. Returns the spin iterations
     /// consumed (== the budget when the call actually parked).
     pub fn idle_wait(&self, timeout: Duration) -> u32 {
-        let spun = self
-            .net
-            .wait_nonempty_spin(self.id, timeout, self.shared.idle_spin);
+        let spun = self.mailbox().wait(timeout, self.shared.idle_spin);
         self.last_spin.store(spun, Ordering::Relaxed);
         spun
     }
@@ -765,7 +774,7 @@ impl Pe {
     /// state (shared-memory transports). False on distributed
     /// transports, where balancers must rely on gossiped samples.
     pub fn remote_load_visible(&self) -> bool {
-        self.net.remote_load_visible()
+        self.net.kind().shares_memory()
     }
 
     /// Fold one scheduler-iteration sample (`busy` = the iteration did
@@ -782,7 +791,7 @@ impl Pe {
         self.occupancy_pm.store(ema, Ordering::Relaxed);
         let t = self.load_ticks.fetch_add(1, Ordering::Relaxed);
         if t.is_multiple_of(LOAD_PUBLISH_PERIOD) {
-            self.net.publish_load(self.id, self.queue_len(), ema);
+            self.mailbox().publish_load(self.queue_len(), ema);
         }
     }
 
@@ -801,7 +810,7 @@ impl Pe {
         if n_pes < 2 || cfg.batch == 0 {
             return 0;
         }
-        if self.net.remote_load_visible() {
+        if self.remote_load_visible() {
             let mut best: Option<(usize, usize)> = None; // (backlog, pe)
             for l in self.net.load_snapshot() {
                 if l.pe == self.id || l.staged == 0 {

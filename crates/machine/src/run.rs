@@ -529,7 +529,7 @@ where
     }
 
     RunReport {
-        traffic: (0..cfg.num_pes).map(|p| net.traffic(p)).collect(),
+        traffic: net.load_snapshot().iter().map(|l| l.traffic).collect(),
         fault_stats: net.fault_stats(),
         output: shared.console.captured(),
         elapsed: started.elapsed(),

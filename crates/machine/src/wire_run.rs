@@ -32,7 +32,7 @@
 
 use crate::pe::{MachineShared, Pe};
 use crate::run::{MachineConfig, RunError, RunReport, Transport};
-use converse_net::{CmiTransport, FaultStats};
+use converse_net::CmiTransport;
 use converse_wire::{HubFailure, ShmPlane, ShmRegion, WireEndpoint, WireHub, WorkerReport};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -305,18 +305,9 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
     match outcome {
         Ok(out) => {
             reap_children(&mut children, cfg.wire.grace);
-            let mut fault_stats = FaultStats::default();
             let mut output: Vec<String> = Vec::new();
             let mut traffic = Vec::with_capacity(n);
             for r in &out.reports {
-                let f = &r.faults;
-                fault_stats.transmissions += f.transmissions;
-                fault_stats.dropped += f.dropped;
-                fault_stats.duplicated += f.duplicated;
-                fault_stats.delayed += f.delayed;
-                fault_stats.retransmitted += f.retransmitted;
-                fault_stats.dedup_dropped += f.dedup_dropped;
-                fault_stats.superseded += f.superseded;
                 // Cross-process capture interleaves by rank, not by
                 // time: each worker's lines arrive as one block.
                 output.extend(r.output.iter().cloned());
@@ -324,7 +315,7 @@ fn run_launcher(cfg: MachineConfig, call: usize) -> Result<RunReport, RunError> 
             }
             Ok(RunReport {
                 traffic,
-                fault_stats,
+                fault_stats: out.reports.iter().map(|r| r.faults).sum(),
                 output,
                 elapsed: started.elapsed(),
             })
@@ -515,7 +506,10 @@ where
     shared.console.close_input();
     let report = WorkerReport {
         rank,
-        traffic: endpoint.local_traffic(),
+        traffic: endpoint
+            .mailbox(rank)
+            .expect("an endpoint holds its own rank's mailbox")
+            .traffic(),
         faults: endpoint.fault_stats(),
         output: shared.console.captured(),
     };

@@ -77,16 +77,21 @@ impl FrameHeader {
         self
     }
 
-    fn write_into(&self, out: &mut Vec<u8>) {
-        out.push(self.kind);
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.channel.to_le_bytes());
-        out.push(self.guarantee);
+    /// The header's fixed-size encoding (the bytes after a frame's
+    /// length prefix).
+    pub fn to_bytes(&self) -> [u8; FRAME_HEADER_BYTES] {
+        let mut out = [0u8; FRAME_HEADER_BYTES];
+        out[0] = self.kind;
+        out[1..5].copy_from_slice(&self.src.to_le_bytes());
+        out[5..9].copy_from_slice(&self.dst.to_le_bytes());
+        out[9..17].copy_from_slice(&self.seq.to_le_bytes());
+        out[17..21].copy_from_slice(&self.channel.to_le_bytes());
+        out[21] = self.guarantee;
+        out
     }
 
-    fn parse(bytes: &[u8; FRAME_HEADER_BYTES]) -> FrameHeader {
+    /// Decode [`FrameHeader::to_bytes`].
+    pub fn from_bytes(bytes: &[u8; FRAME_HEADER_BYTES]) -> FrameHeader {
         FrameHeader {
             kind: bytes[0],
             src: u32::from_le_bytes(bytes[1..5].try_into().unwrap()),
@@ -107,7 +112,7 @@ pub fn encode_frame(header: FrameHeader, payload: &[u8]) -> Vec<u8> {
     );
     let mut out = Vec::with_capacity(4 + body);
     out.extend_from_slice(&(body as u32).to_le_bytes());
-    header.write_into(&mut out);
+    out.extend_from_slice(&header.to_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -137,7 +142,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<(FrameHeader, MsgBlock
     }
     let mut header_buf = [0u8; FRAME_HEADER_BYTES];
     r.read_exact(&mut header_buf)?;
-    let header = FrameHeader::parse(&header_buf);
+    let header = FrameHeader::from_bytes(&header_buf);
     let payload_len = body - FRAME_HEADER_BYTES;
     let mut block = MsgBlock::alloc(payload_len);
     if payload_len > 0 {

@@ -42,11 +42,6 @@ impl LinkFaults {
         delay: 0.0,
         max_delay_slots: 0,
     };
-
-    /// True when every probability is zero.
-    pub fn is_clean(&self) -> bool {
-        self.drop == 0.0 && self.dup == 0.0 && (self.delay == 0.0 || self.max_delay_slots == 0)
-    }
 }
 
 impl Default for LinkFaults {
@@ -225,6 +220,20 @@ pub struct FaultStats {
     /// retransmit slot, in fault-plane limbo, or queued in the
     /// destination inbox).
     pub superseded: u64,
+}
+
+impl std::iter::Sum for FaultStats {
+    fn sum<I: Iterator<Item = FaultStats>>(iter: I) -> FaultStats {
+        iter.fold(FaultStats::default(), |a, b| FaultStats {
+            transmissions: a.transmissions + b.transmissions,
+            dropped: a.dropped + b.dropped,
+            duplicated: a.duplicated + b.duplicated,
+            delayed: a.delayed + b.delayed,
+            retransmitted: a.retransmitted + b.retransmitted,
+            dedup_dropped: a.dedup_dropped + b.dedup_dropped,
+            superseded: a.superseded + b.superseded,
+        })
+    }
 }
 
 impl FaultStats {

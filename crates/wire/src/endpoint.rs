@@ -1,18 +1,16 @@
 //! The worker-side transport endpoint: one rank's view of the socket or
 //! shared-memory machine. It encodes [`converse_net::reliable`] actions
 //! as frames (transmits as DATA, acks as ACK) and delivers arrivals into
-//! a private plan-less [`Interconnect`] that serves as its mailbox.
+//! the one [`Mailbox`] of its own rank.
 
 use crate::{connect, kind, PushOutcome, ShmPlane, WireOptions, WireStream};
 use converse_msg::{write_frame, FrameHeader, MsgBlock};
-use converse_net::reliable::{Chans, FaultCounters, Receiver, Sender, Sink, Tally, Wire};
+use converse_net::reliable::{Chans, Receiver, Sender, Sink, Tally, Wire};
 use converse_net::{
-    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, FaultStats, Interconnect, Packet,
-    PeLoad, PeTraffic,
+    Channel, CmiTransport, Delivery, DeliveryMode, FaultPlan, Mailbox, Packet, TransportKind,
 };
 use converse_trace::{Event, FaultKind, StealPhase, TraceSink};
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,12 +52,11 @@ impl Sink for PeerSink<'_> {
         }
     }
 
-    /// Into the local mailbox with the channel tag, so a
-    /// latest-value-wins arrival supersedes older queued values exactly
-    /// as in-process.
-    fn deliver(&mut self, _seq: u64, block: MsgBlock) {
-        let ep = self.ep;
-        ep.inner.send_on(self.peer, ep.rank, block, self.channel);
+    /// Into the local mailbox with the channel tag and the wire's seq,
+    /// so a latest-value-wins arrival supersedes older queued values
+    /// exactly as in-process.
+    fn deliver(&mut self, seq: u64, block: MsgBlock) {
+        self.ep.mailbox.push(self.peer, self.channel, seq, block);
     }
 
     fn ack(&mut self, selective: u64, cumulative: u64) {
@@ -70,27 +67,29 @@ impl Sink for PeerSink<'_> {
         ep.emit(h, &cumulative.to_le_bytes(), false);
     }
 
+    /// Every tally of this endpoint is charged to its own rank; the
+    /// link reads `peer → me` for a dedup drop, `me → peer` otherwise.
     fn count(&mut self, tally: Tally, seq: u64, n: u64) {
-        self.ep.fstats.add(tally, n);
-        if let Tally::Fault(fk) = tally {
-            let (me, peer) = (self.ep.rank, self.peer);
-            match fk {
-                FaultKind::DedupDrop => self.ep.trace_fault(fk, peer, me, seq),
-                _ => self.ep.trace_fault(fk, me, peer, seq),
-            }
-        }
+        let (me, peer) = (self.ep.rank, self.peer);
+        let (src, dst) = match tally {
+            Tally::Fault(FaultKind::DedupDrop) => (peer, me),
+            _ => (me, peer),
+        };
+        self.ep.mailbox.tally(tally, n, src, dst, seq);
     }
 }
 
-/// One rank's end of the socket machine. See the module docs.
 /// Callback invoked (once) when the endpoint aborts — the machine
 /// layer uses it to flip its shared panicked flag.
 pub type AbortHook = Box<dyn Fn(&str) + Send + Sync>;
 
+/// One rank's end of the socket or shared-memory machine. See the
+/// module docs.
 pub struct WireEndpoint {
     rank: usize,
     n: usize,
-    inner: Arc<Interconnect>,
+    /// This rank's mailbox, armed with the plan's stall windows for it.
+    mailbox: Mailbox,
     writer: Mutex<WireStream>,
     /// Shared-memory ring data plane, when this endpoint runs the
     /// `shmring` transport. Peer-addressed frames go through the rings
@@ -101,9 +100,6 @@ pub struct WireEndpoint {
     plan: Option<FaultPlan>,
     send_links: Vec<Mutex<Chans<Sender>>>,
     recv_links: Vec<Mutex<Chans<Receiver>>>,
-    wire_msgs: AtomicU64,
-    wire_bytes: AtomicU64,
-    fstats: FaultCounters,
     /// Counts every frame written or read — the trace sampling key.
     frames: AtomicU64,
     /// Set while the teardown flush runs: the core's ticks flush.
@@ -119,7 +115,6 @@ pub struct WireEndpoint {
     /// (0 = none); closed out by the first DONATE arrival to time the
     /// request→donate steal leg.
     steal_req_at: AtomicU64,
-    trace: Arc<dyn TraceSink>,
 }
 
 impl WireEndpoint {
@@ -168,15 +163,19 @@ impl WireEndpoint {
         let ep = Arc::new(WireEndpoint {
             rank,
             n,
-            inner: Interconnect::with_mode(n, delivery),
+            mailbox: Mailbox::new(
+                rank,
+                n,
+                delivery,
+                plan.as_ref(),
+                Instant::now(),
+                Some(trace),
+            ),
             writer: Mutex::new(stream),
             shm,
             send_links: (0..n).map(|_| Mutex::default()).collect(),
             recv_links: (0..n).map(|_| Mutex::default()).collect(),
             plan,
-            wire_msgs: AtomicU64::new(0),
-            wire_bytes: AtomicU64::new(0),
-            fstats: FaultCounters::default(),
             frames: AtomicU64::new(0),
             finishing: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -185,7 +184,6 @@ impl WireEndpoint {
             aborted: Mutex::new(None),
             on_abort: Mutex::new(None),
             steal_req_at: AtomicU64::new(0),
-            trace,
         });
 
         let rd = ep.clone();
@@ -207,11 +205,6 @@ impl WireEndpoint {
         Ok(ep)
     }
 
-    /// This endpoint's rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Install the machine layer's abort reaction (e.g. marking the
     /// run panicked so blocked contexts unwind). Called with the abort
     /// message when a peer panics or the hub connection is lost.
@@ -228,32 +221,13 @@ impl WireEndpoint {
 
     fn trace_frame(&self, kind_byte: u8, peer: usize, bytes: usize, sent: bool) {
         let count = self.frames.fetch_add(1, Ordering::Relaxed);
-        if count.is_multiple_of(FRAME_SAMPLE) && self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::WireFrame {
-                    kind: kind::name(kind_byte),
-                    peer,
-                    bytes,
-                    sent,
-                },
-            );
-        }
-    }
-
-    fn trace_fault(&self, fk: FaultKind, src: usize, dst: usize, seq: u64) {
-        if self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::Fault {
-                    kind: fk,
-                    src,
-                    dst,
-                    seq,
-                },
-            );
+        if count.is_multiple_of(FRAME_SAMPLE) {
+            self.mailbox.record(Event::WireFrame {
+                kind: kind::name(kind_byte),
+                peer,
+                bytes,
+                sent,
+            });
         }
     }
 
@@ -317,19 +291,14 @@ impl WireEndpoint {
         }
     }
 
-    /// Send one message to a remote rank: unsequenced on a clean wire,
-    /// through the sender half of the core under a plan.
+    /// Send one message: unsequenced on a clean wire (and on loopback,
+    /// which is never faulted), through the sender half of the core to
+    /// a remote rank under a plan.
     fn wire_send(&self, dst: usize, channel: Channel, block: MsgBlock) {
-        self.wire_msgs.fetch_add(1, Ordering::Relaxed);
-        self.wire_bytes
-            .fetch_add(block.len() as u64, Ordering::Relaxed);
+        self.mailbox.count_send(block.len());
         let lvw = channel.delivery == Delivery::LatestValueWins;
         let (seq, copies) = match &self.plan {
-            // Even on a clean wire a LVW value needs a real seq so the
-            // receiving mailbox can supersede queued values.
-            None if lvw => (self.send_links[dst].lock().get(channel).stamp(), 1),
-            None => (0, 1),
-            Some(plan) => {
+            Some(plan) if dst != self.rank => {
                 let mut sink = PeerSink::new(self, dst, channel);
                 let mut link = self.send_links[dst].lock();
                 let seq = link
@@ -337,7 +306,14 @@ impl WireEndpoint {
                     .send(&self.wire(plan, dst), &block, &mut sink);
                 (seq, sink.copies)
             }
+            // Even on a clean wire a LVW value needs a real seq so the
+            // receiving mailbox can supersede queued values.
+            _ if lvw => (self.send_links[dst].lock().get(channel).stamp(), 1),
+            _ => (0, 1),
         };
+        if dst == self.rank {
+            return self.mailbox.push(dst, channel, seq, block);
+        }
         for _ in 0..copies {
             self.emit(self.data_header(dst, channel, seq), block.as_slice(), true);
         }
@@ -386,26 +362,22 @@ impl WireEndpoint {
         match h.kind {
             kind::DATA => self.on_data(h, payload),
             kind::ACK => self.on_ack(h, payload.as_slice()),
-            kind::INJECT => self.inner.inject(self.rank, payload),
+            kind::INJECT => self.inject_local(payload),
             kind::STALL => {
                 let ns = u64_le(payload.as_slice());
-                self.inner.stall_for(self.rank, Duration::from_nanos(ns));
+                self.mailbox.stall_for(Duration::from_nanos(ns));
             }
             kind::STEAL_REQ => self.on_steal_req(h, payload.as_slice()),
             kind::DONATE => {
-                let now = self.inner.uptime().as_nanos() as u64;
                 // First donation since our last STEAL_REQ closes the
                 // request→donate latency leg (recorded thief-side).
                 let t0 = self.steal_req_at.swap(0, Ordering::AcqRel);
-                if t0 != 0 && self.trace.enabled() {
-                    self.trace.record(
-                        self.rank,
-                        now,
-                        Event::StealLatency {
-                            phase: StealPhase::ReqToDonate,
-                            ns: now.saturating_sub(t0),
-                        },
-                    );
+                if t0 != 0 {
+                    let now = self.mailbox.uptime().as_nanos() as u64;
+                    self.mailbox.record(Event::StealLatency {
+                        phase: StealPhase::ReqToDonate,
+                        ns: now.saturating_sub(t0),
+                    });
                 }
                 // Only default-channel packets are stealable.
                 let p = Packet {
@@ -414,7 +386,7 @@ impl WireEndpoint {
                     seq: 0,
                     block: payload,
                 };
-                self.inner.splice(self.rank, [p]);
+                self.mailbox.splice([p]);
             }
             _ => {}
         }
@@ -451,7 +423,7 @@ impl WireEndpoint {
         if thief == self.rank || max == 0 {
             return;
         }
-        let stolen = self.inner.steal_take(self.rank, max);
+        let stolen = self.mailbox.steal_take(max);
         if stolen.is_empty() {
             return;
         }
@@ -465,17 +437,11 @@ impl WireEndpoint {
                 false,
             );
         }
-        if self.trace.enabled() {
-            self.trace.record(
-                self.rank,
-                self.inner.uptime().as_nanos() as u64,
-                Event::Steal {
-                    victim: self.rank,
-                    thief,
-                    batch,
-                },
-            );
-        }
+        self.mailbox.record(Event::Steal {
+            victim: self.rank,
+            thief,
+            batch,
+        });
     }
 
     /// An ACK frame echoes the channel of the DATA it confirms; an ack
@@ -499,7 +465,14 @@ impl WireEndpoint {
         if let Some(hook) = &*self.on_abort.lock() {
             hook(msg);
         }
-        self.inner.close();
+        self.mailbox.close();
+    }
+
+    /// An external message for this rank: counted as injected, never as
+    /// a send.
+    fn inject_local(&self, block: MsgBlock) {
+        self.mailbox.count_inject(block.len());
+        self.mailbox.push(self.rank, Channel::DEFAULT, 0, block);
     }
 
     // ---- retransmit pump ------------------------------------------------
@@ -579,15 +552,6 @@ impl WireEndpoint {
         }
         true
     }
-
-    /// This rank's authoritative traffic view: local mailbox counters
-    /// merged with the wire send counters.
-    pub fn local_traffic(&self) -> PeTraffic {
-        let mut t = self.inner.traffic(self.rank);
-        t.msgs_sent += self.wire_msgs.load(Ordering::Relaxed);
-        t.bytes_sent += self.wire_bytes.load(Ordering::Relaxed);
-        t
-    }
 }
 
 fn spawn(name: String, f: impl FnOnce() + Send + 'static) {
@@ -609,22 +573,21 @@ impl CmiTransport for WireEndpoint {
         self.n
     }
 
-    fn uptime(&self) -> Duration {
-        self.inner.uptime()
+    fn kind(&self) -> TransportKind {
+        match self.shm {
+            Some(_) => TransportKind::ShmRing,
+            None => TransportKind::Socket,
+        }
     }
 
     fn send_block_on(&self, src: usize, dst: usize, block: MsgBlock, channel: Channel) {
         debug_assert_eq!(src, self.rank, "a wire endpoint sends only as its own rank");
-        if dst == self.rank {
-            self.inner.send_on(src, dst, block, channel);
-        } else {
-            self.wire_send(dst, channel, block);
-        }
+        self.wire_send(dst, channel, block);
     }
 
     fn inject_block(&self, dst: usize, block: MsgBlock) {
         if dst == self.rank {
-            self.inner.inject(dst, block);
+            self.inject_local(block);
         } else {
             self.emit(
                 FrameHeader::new(kind::INJECT, self.rank as u32, dst as u32, 0),
@@ -634,45 +597,13 @@ impl CmiTransport for WireEndpoint {
         }
     }
 
-    fn broadcast_block(&self, src: usize, block: MsgBlock, include_self: bool) {
-        for dst in (0..self.n).filter(|&dst| include_self || dst != src) {
-            self.send_block_on(src, dst, block.share(), Channel::DEFAULT);
-        }
-    }
-
-    /// Destinations live in other address spaces: every remote PE
-    /// receives its own copy off the wire.
-    fn broadcast_zero_copy(&self) -> bool {
-        false
-    }
-
-    fn try_recv(&self, pe: usize) -> Option<Packet> {
-        self.inner.try_recv(pe)
-    }
-
-    fn drain_bounded(&self, pe: usize, out: &mut VecDeque<Packet>, max: usize) -> usize {
-        self.inner.drain_into_bounded(pe, out, max)
-    }
-
-    fn wait_nonempty(&self, pe: usize, timeout: Duration) {
-        self.inner.wait_nonempty(pe, timeout)
-    }
-
-    fn wait_nonempty_spin(&self, pe: usize, timeout: Duration, spin: u32) -> u32 {
-        self.inner.wait_nonempty_spin(pe, timeout, spin)
-    }
-
-    fn pending(&self, pe: usize) -> usize {
-        self.inner.pending(pe)
-    }
-
-    fn stalled(&self, pe: usize) -> bool {
-        self.inner.stalled(pe)
+    fn mailbox(&self, pe: usize) -> Option<&Mailbox> {
+        (pe == self.rank).then_some(&self.mailbox)
     }
 
     fn stall_for(&self, pe: usize, dur: Duration) {
         if pe == self.rank {
-            self.inner.stall_for(pe, dur);
+            self.mailbox.stall_for(dur);
         } else {
             self.emit(
                 FrameHeader::new(kind::STALL, self.rank as u32, pe as u32, 0),
@@ -680,66 +611,6 @@ impl CmiTransport for WireEndpoint {
                 true,
             );
         }
-    }
-
-    fn close(&self) {
-        self.inner.close()
-    }
-
-    fn is_closed(&self) -> bool {
-        self.inner.is_closed()
-    }
-
-    fn traffic(&self, pe: usize) -> PeTraffic {
-        if pe == self.rank {
-            self.local_traffic()
-        } else {
-            PeTraffic::default()
-        }
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fstats.snapshot()
-    }
-
-    fn transport_name(&self) -> &'static str {
-        if self.shm.is_some() {
-            "shmring"
-        } else {
-            "socket"
-        }
-    }
-
-    fn publish_load(&self, pe: usize, run_queue: usize, occupancy_pm: u32) {
-        if pe == self.rank {
-            self.inner.publish_load(pe, run_queue, occupancy_pm);
-        }
-    }
-
-    /// Only this rank is observable; remote ranks read as idle.
-    fn load_snapshot(&self) -> Vec<PeLoad> {
-        (0..self.n)
-            .map(|pe| {
-                if pe == self.rank {
-                    PeLoad {
-                        traffic: self.local_traffic(),
-                        ..self.inner.load_of(pe)
-                    }
-                } else {
-                    PeLoad {
-                        pe,
-                        ..PeLoad::default()
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Remote ranks live in other processes; their load reads degrade
-    /// to zeros, so balancers must use gossiped samples and thieves a
-    /// rotating victim.
-    fn remote_load_visible(&self) -> bool {
-        false
     }
 
     /// Distributed steal: fire an asynchronous STEAL_REQ at the victim
@@ -755,7 +626,7 @@ impl CmiTransport for WireEndpoint {
         }
         // Stamp the request so the first DONATE back closes the
         // request→donate latency leg (oldest pending request wins).
-        let now = self.inner.uptime().as_nanos() as u64;
+        let now = self.mailbox.uptime().as_nanos() as u64;
         let _ =
             self.steal_req_at
                 .compare_exchange(0, now.max(1), Ordering::AcqRel, Ordering::Relaxed);
@@ -765,9 +636,5 @@ impl CmiTransport for WireEndpoint {
             true,
         );
         0
-    }
-
-    fn take_steal_mark(&self, pe: usize) -> u64 {
-        self.inner.take_steal_mark(pe)
     }
 }

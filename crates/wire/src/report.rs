@@ -15,7 +15,7 @@ use converse_net::{FaultStats, PeTraffic};
 pub struct WorkerReport {
     /// The worker's PE rank.
     pub rank: usize,
-    /// The rank's traffic counters (wire sends merged with local ones).
+    /// The rank's traffic counters, from its mailbox.
     pub traffic: PeTraffic,
     /// The worker's fault-plane and reliability counters.
     pub faults: FaultStats,

@@ -62,10 +62,6 @@ impl ShmPlane {
         unreachable!("{UNSUPPORTED}")
     }
 
-    pub fn max_record(&self) -> usize {
-        unreachable!("{UNSUPPORTED}")
-    }
-
     pub fn push(
         &self,
         _dst: usize,

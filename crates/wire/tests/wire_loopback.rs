@@ -5,7 +5,7 @@
 //! wire, teardown — without the exec machinery.
 
 use converse_msg::MsgBlock;
-use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults, Packet};
+use converse_net::{Channel, CmiTransport, DeliveryMode, FaultPlan, LinkFaults, Mailbox, Packet};
 use converse_trace::NullSink;
 use converse_wire::{WireEndpoint, WireHub, WireKind, WireOptions, WorkerReport};
 use std::sync::Arc;
@@ -19,10 +19,14 @@ fn opts() -> WireOptions {
     }
 }
 
-/// Default-channel send and blocking receive, built on the trait.
+/// Default-channel send and the local rank's mailbox, built on the
+/// trait.
 trait EndpointExt {
     fn send_block(&self, src: usize, dst: usize, block: MsgBlock);
-    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet>;
+    fn local(&self, pe: usize) -> &Mailbox;
+    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
+        self.local(pe).recv_timeout(timeout)
+    }
 }
 
 impl EndpointExt for WireEndpoint {
@@ -30,18 +34,9 @@ impl EndpointExt for WireEndpoint {
         self.send_block_on(src, dst, block, Channel::DEFAULT);
     }
 
-    fn recv_timeout(&self, pe: usize, timeout: Duration) -> Option<Packet> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(p) = self.try_recv(pe) {
-                return Some(p);
-            }
-            let now = Instant::now();
-            if now >= deadline || self.is_closed() {
-                return None;
-            }
-            self.wait_nonempty(pe, deadline - now);
-        }
+    fn local(&self, pe: usize) -> &Mailbox {
+        self.mailbox(pe)
+            .expect("an endpoint holds its own rank's mailbox")
     }
 }
 
@@ -52,7 +47,7 @@ fn worker_exit(ep: &Arc<WireEndpoint>, rank: usize) {
     );
     let report = WorkerReport {
         rank,
-        traffic: ep.local_traffic(),
+        traffic: ep.local(rank).traffic(),
         faults: ep.fault_stats(),
         output: Vec::new(),
     };
@@ -175,8 +170,8 @@ fn lossy_wire_delivers_exactly_once_in_order() {
 #[test]
 fn broadcast_reaches_every_rank_as_copies() {
     let reports = run_machine(3, None, |ep, rank| {
-        assert!(!ep.broadcast_zero_copy());
-        assert_eq!(ep.transport_name(), "socket");
+        assert!(!ep.kind().shares_memory());
+        assert_eq!(ep.kind().name(), "socket");
         if rank == 0 {
             ep.broadcast_block(0, b"fanout".as_slice().into(), false);
         } else {
@@ -199,7 +194,7 @@ fn remote_stall_routes_over_the_wire() {
         } else {
             // Give the STALL frame time to arrive and arm.
             std::thread::sleep(Duration::from_millis(100));
-            let armed = ep.stalled(1);
+            let armed = ep.local(1).stalled();
             let t0 = Instant::now();
             let p = ep
                 .recv_timeout(1, Duration::from_secs(10))
@@ -244,7 +239,7 @@ fn worker_abort_fans_out_to_peers() {
                 // The peer must be woken out of a blocking receive.
                 let p = ep.recv_timeout(rank, Duration::from_secs(20));
                 assert!(p.is_none(), "no message was ever sent");
-                assert!(ep.is_closed(), "abort must close the mailbox");
+                assert!(ep.local(rank).is_closed(), "abort must close the mailbox");
                 ep.aborted().is_some()
             }
         }));

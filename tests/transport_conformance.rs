@@ -460,3 +460,85 @@ fn fault_schedule_is_identical_on_each_transport() {
         }
     }
 }
+
+/// Scripted stall windows are armed on every transport: a window that
+/// opens after boot holds PE 1's retrieval until it closes, measured on
+/// PE 1's own clock (each wire process boots its own).
+#[test]
+fn scripted_stall_window_holds_retrieval_on_each_transport() {
+    use converse::machine::FaultPlan;
+    const FROM: Duration = Duration::from_millis(500);
+    const TO: Duration = Duration::from_millis(900);
+    reports_on_each_transport(
+        || MachineConfig::new(2).faults(FaultPlan::new(13).stall(1, FROM, TO)),
+        |pe| {
+            let ran_at = Arc::new(AtomicU64::new(0));
+            let r = ran_at.clone();
+            let held = pe.register_handler(move |pe, _| {
+                r.store(pe.now_ns(), Ordering::SeqCst);
+                csd_exit_scheduler(pe);
+            });
+            // PE 0 answers PE 1's "stalled now" with the held message, so
+            // it lands in PE 1's mailbox inside the window.
+            let ready = pe.register_handler(move |pe, _| {
+                pe.sync_send_and_free(1, Message::new(held, b"held"));
+                csd_exit_scheduler(pe);
+            });
+            pe.barrier();
+            assert!(pe.timer() < FROM.as_secs_f64(), "boot outran the window");
+            if pe.my_pe() == 0 {
+                csd_scheduler(pe, -1);
+            } else {
+                while pe.timer() < FROM.as_secs_f64() + 0.02 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                assert!(pe.pe_stalled(1), "PE 1 must read itself stalled");
+                pe.sync_send_and_free(0, Message::new(ready, b""));
+                csd_scheduler(pe, -1);
+                let at = Duration::from_nanos(ran_at.load(Ordering::SeqCst));
+                assert!(at >= TO, "retrieved at {at:?}, inside the window");
+                assert!(!pe.pe_stalled(1));
+            }
+            pe.barrier();
+        },
+    );
+}
+
+/// Inbox supersedes are counted on every transport: with PE 1 stalled,
+/// K back-to-back latest-value-wins publishes queue in its inbox and
+/// each newer value drops the older one.
+#[test]
+fn inbox_supersedes_are_counted_on_each_transport() {
+    use converse::machine::Delivery;
+    const K: u64 = 8;
+    let reports = reports_on_each_transport(
+        || MachineConfig::new(2).channel("lvw", Delivery::LatestValueWins),
+        |pe| {
+            let last = Arc::new(AtomicU64::new(0)); // stores value+1
+            let l = last.clone();
+            let h = pe.register_handler(move |pe, msg| {
+                let v = u64::from_le_bytes(msg.payload().try_into().unwrap());
+                l.store(v + 1, Ordering::SeqCst);
+                csd_exit_scheduler(pe);
+            });
+            let lvw = pe.channel("lvw");
+            pe.barrier();
+            if pe.my_pe() == 0 {
+                pe.stall_pe(1, Duration::from_millis(500));
+                for i in 0..K {
+                    pe.sync_send_on(1, lvw, &Message::new(h, &i.to_le_bytes()));
+                }
+            } else {
+                csd_scheduler(pe, -1);
+                assert_eq!(last.load(Ordering::SeqCst), K, "only the final value runs");
+            }
+            pe.barrier();
+        },
+    );
+    let wrong: Vec<_> = reports
+        .iter()
+        .filter(|(_, r)| r.fault_stats.superseded != K - 1)
+        .map(|(t, r)| (t, r.fault_stats.superseded))
+        .collect();
+    assert!(wrong.is_empty(), "want {} supersedes, got {wrong:?}", K - 1);
+}
