@@ -368,9 +368,6 @@ fn main() {
         );
     }
 
-    std::fs::write("BENCH_wire.json", render_json(&rows)).expect("write BENCH_wire.json");
-    say!(quiet, "\nwrote BENCH_wire.json ({} rows)", rows.len());
-
     if gate_failed || accept_failed {
         if gate_on {
             eprintln!("wire-transport gate FAILED (set WIRE_GATE=off to re-baseline)");
@@ -379,4 +376,9 @@ fn main() {
             say!(quiet, "gate failures ignored: WIRE_GATE=off");
         }
     }
+
+    // Only a passing (or explicitly ungated) run may rewrite the
+    // checked-in baseline the gate compares against.
+    std::fs::write("BENCH_wire.json", render_json(&rows)).expect("write BENCH_wire.json");
+    say!(quiet, "\nwrote BENCH_wire.json ({} rows)", rows.len());
 }

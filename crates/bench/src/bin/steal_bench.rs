@@ -316,19 +316,21 @@ fn main() {
         }
     }
 
-    if !smoke {
-        std::fs::write("BENCH_steal.json", render_json(&rows)).expect("write BENCH_steal.json");
-        if !quiet {
-            println!("wrote BENCH_steal.json ({} rows)", rows.len());
-        }
-    }
-
     if gate_failed {
         if gate_on {
             eprintln!("steal_bench gate FAILED (set STEAL_GATE=off to re-baseline)");
             std::process::exit(1);
         } else if !quiet {
             println!("gate failures ignored: STEAL_GATE=off");
+        }
+    }
+
+    // Only a passing (or explicitly ungated) run may rewrite the
+    // checked-in baseline the gate compares against.
+    if !smoke {
+        std::fs::write("BENCH_steal.json", render_json(&rows)).expect("write BENCH_steal.json");
+        if !quiet {
+            println!("wrote BENCH_steal.json ({} rows)", rows.len());
         }
     }
 }

@@ -364,20 +364,22 @@ fn main() {
         println!("no checked-in BENCH_taskbench.json baseline; gate skipped (first run)");
     }
 
-    if !smoke {
-        std::fs::write("BENCH_taskbench.json", render_json(&rows))
-            .expect("write BENCH_taskbench.json");
-        if !quiet {
-            println!("\nwrote BENCH_taskbench.json ({} rows)", rows.len());
-        }
-    }
-
     if gate_failed {
         if gate_on {
             eprintln!("taskbench regression gate FAILED (set TASKBENCH_GATE=off to re-baseline)");
             std::process::exit(1);
         } else if !quiet {
             println!("gate failures ignored: TASKBENCH_GATE=off");
+        }
+    }
+
+    // Only a passing (or explicitly ungated) run may rewrite the
+    // checked-in baseline the gate compares against.
+    if !smoke {
+        std::fs::write("BENCH_taskbench.json", render_json(&rows))
+            .expect("write BENCH_taskbench.json");
+        if !quiet {
+            println!("\nwrote BENCH_taskbench.json ({} rows)", rows.len());
         }
     }
 }

@@ -308,9 +308,6 @@ fn main() {
         println!("no checked-in BENCH_threads.json baseline; gate skipped (first run)");
     }
 
-    std::fs::write("BENCH_threads.json", render_json(&rows)).expect("write BENCH_threads.json");
-    println!("\nwrote BENCH_threads.json ({} rows)", rows.len());
-
     if gate_failed {
         if gate_on {
             eprintln!("fiber wakeup regression gate FAILED (set THREADS_GATE=off to re-baseline)");
@@ -319,4 +316,9 @@ fn main() {
             println!("gate failures ignored: THREADS_GATE=off");
         }
     }
+
+    // Only a passing (or explicitly ungated) run may rewrite the
+    // checked-in baseline the gate compares against.
+    std::fs::write("BENCH_threads.json", render_json(&rows)).expect("write BENCH_threads.json");
+    println!("\nwrote BENCH_threads.json ({} rows)", rows.len());
 }
