@@ -12,7 +12,7 @@
 //! CcsClient ──tcp frame──▶ CcsServer (reader thread)
 //!     ▲                        │ resolve name → handler index (CcsRegistry)
 //!     │                        ▼
-//!     │             Interconnect::inject(dest PE)
+//!     │             CmiTransport::inject_block(dest PE)
 //!     │                        │ exo_req: retarget + CsdEnqueue   ─┐ scheduled like
 //!     │                        ▼                                   │ native work
 //!     │             exo_dispatch → target handler                 ─┘

@@ -21,7 +21,7 @@
 //! layer swaps the PE's whole mailbox into a local intake buffer in one
 //! lock acquisition and dispatches from there, so the per-message cost
 //! of the drain phase no longer includes a contended lock op (see
-//! `Interconnect::drain_into`). Per-link FIFO order is preserved —
+//! `Mailbox::drain`). Per-link FIFO order is preserved —
 //! intake drains strictly before the wire. The scheduler-queue phase
 //! stays per-entry on purpose: a handler that enqueues urgent
 //! prioritized work mid-batch still sees it preempt at the very next
