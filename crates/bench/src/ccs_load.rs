@@ -1,12 +1,11 @@
 //! Load generation against the CCS front-end: boots a machine with an
 //! echo handler exported over CCS, then drives it with real TCP clients.
-//! Shared by the `ccs_throughput` binary and the `ccs_roundtrip`
-//! criterion bench.
+//! Driven by the `ccs_throughput` binary.
 
+use crate::report::pctl;
 use converse_ccs::{self as ccs, CcsClient, CcsRegistry, CcsServer, CcsServerConfig};
 use converse_core::{csd_exit_scheduler, csd_scheduler, run_with, MachineConfig, Message, Pe};
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One benchmark configuration.
@@ -27,10 +26,6 @@ pub struct CcsBenchConfig {
 
 /// Measured result of one configuration.
 pub struct CcsBenchResult {
-    /// PEs in the machine.
-    pub pes: usize,
-    /// Request payload bytes.
-    pub payload: usize,
     /// Pipelined completions per second across all clients.
     pub reqs_per_sec: f64,
     /// Closed-loop median round trip, µs.
@@ -122,8 +117,6 @@ pub fn run_config(cfg: &CcsBenchConfig) -> CcsBenchResult {
                 c.call("echo", i % pes, &payload).expect("latency echo");
                 samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
             }
-            samples_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let pct = |p: f64| samples_us[((samples_us.len() - 1) as f64 * p) as usize];
 
             // Pass 2: pipelined clients, windowed in-flight.
             let total = clients * per_client;
@@ -153,32 +146,17 @@ pub fn run_config(cfg: &CcsBenchConfig) -> CcsBenchResult {
             }
             let elapsed = t0.elapsed();
             (
-                pct(0.5),
-                pct(0.99),
+                pctl(&mut samples_us, 0.5),
+                pctl(&mut samples_us, 0.99),
                 total as f64 / elapsed.as_secs_f64(),
                 total,
             )
         });
 
     CcsBenchResult {
-        pes: cfg.pes,
-        payload: cfg.payload,
         reqs_per_sec,
         p50_us,
         p99_us,
         throughput_reqs: total,
     }
-}
-
-/// Time `iters` closed-loop echo round trips on a fresh machine — the
-/// criterion `iter_custom` building block.
-pub fn echo_round_trips(pes: usize, payload: usize, iters: u64) -> Duration {
-    let body = Arc::new(vec![0x5au8; payload]);
-    with_echo_machine(pes, CcsServerConfig::default(), move |_addr, c| {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            c.call("echo", (i as usize) % pes, &body).expect("echo");
-        }
-        t0.elapsed()
-    })
 }

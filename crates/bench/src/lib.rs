@@ -20,9 +20,10 @@
 //! dispatch on the same OS thread), which exercises the full header
 //! encode/decode, mailbox, handler-table and (optionally) priority-queue
 //! code without cross-thread wakeup noise; a two-PE ping-pong variant
-//! with real hand-offs is also provided for the overhead bench.
+//! with real hand-offs is also provided for the `figures` bin.
 
 pub mod ccs_load;
+pub mod report;
 
 use converse_core::{csd_scheduler, run, run_with, MachineConfig, Message, Pe};
 use converse_msg::HEADER_BYTES;
@@ -31,6 +32,15 @@ use converse_queue::QueueingMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The name a report row gives `t` in its `transport` param.
+pub fn transport_label(t: converse_machine::Transport) -> &'static str {
+    match t {
+        converse_machine::Transport::InProcess => "inproc",
+        converse_machine::Transport::Socket => "socket",
+        converse_machine::Transport::ShmRing => "shmring",
+    }
+}
 
 /// Message sizes (payload bytes) used across all figures, log-spaced
 /// like the paper's x-axes.
@@ -196,7 +206,7 @@ pub struct SwCost {
 
 /// Scale an iteration budget down for large messages so total bytes
 /// copied stays bounded.
-pub fn scaled_iters(base: u64, size: usize) -> u64 {
+fn scaled_iters(base: u64, size: usize) -> u64 {
     ((base as u128 * 1024 / (size as u128 + 1024)) as u64)
         .max(base / 20)
         .max(500)

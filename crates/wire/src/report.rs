@@ -68,7 +68,9 @@ impl WorkerReport {
             superseded: u.u64()?,
         };
         let n = u.u32()? as usize;
-        let mut output = Vec::with_capacity(n);
+        // The count is untrusted: every string costs at least its 4-byte
+        // length prefix, so the bytes left bound how many can follow.
+        let mut output = Vec::with_capacity(n.min(u.remaining() / 4));
         for _ in 0..n {
             output.push(u.str()?);
         }
@@ -114,5 +116,13 @@ mod tests {
     fn empty_report_round_trips() {
         let r = WorkerReport::default();
         assert_eq!(WorkerReport::decode(&r.encode()).unwrap(), r);
+    }
+
+    #[test]
+    fn huge_line_count_without_lines_is_an_error() {
+        let mut bytes = WorkerReport::default().encode();
+        let count_at = bytes.len() - 4;
+        bytes[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(WorkerReport::decode(&bytes).is_err());
     }
 }
